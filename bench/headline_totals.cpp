@@ -17,8 +17,9 @@
 #include <thread>
 
 #include "adaptive/calibrator.hpp"
+#include "adaptive/pipeline.hpp"
 #include "bench_common.hpp"
-#include "engine/parallel_sender.hpp"
+#include "engine/thread_pool.hpp"
 #include "netsim/load_trace.hpp"
 
 namespace {
@@ -86,7 +87,7 @@ void run_parallel_throughput(const char* title, const acex::Bytes& data) {
   for (const std::size_t workers : {std::size_t{1}, hw}) {
     config.worker_threads = workers;
     bench::CaptureTransport transport;
-    engine::ParallelSender sender(transport, config);
+    adaptive::AdaptiveSender sender(transport, config);
     const Seconds start = wall.now();
     sender.send_all(data);
     const double elapsed = wall.now() - start;

@@ -10,7 +10,7 @@
 //
 //   ./build/examples/live_tcp            # loopback speed: expect "none"
 //   ./build/examples/live_tcp 2          # a 2 MB/s path: expect LZ/BW
-//   ./build/examples/live_tcp 2 pipelined  # + compress-ahead overlap
+//   ./build/examples/live_tcp 2 pipelined  # + 2 encode workers: overlap
 
 #include <cstdio>
 #include <cstdlib>
@@ -44,9 +44,11 @@ int main(int argc, char** argv) {
     adaptive::AdaptiveConfig config;
     config.initial_bandwidth_Bps =
         throttle_MBps > 0 ? throttle_MBps * 1e6 : 100e6;
+    // Two encode workers compress ahead while earlier blocks are on the
+    // wire; one worker is the serial path.
+    config.worker_threads = pipelined ? 2 : 1;
     adaptive::AdaptiveSender sender(wire, config);
-    const auto report =
-        pipelined ? sender.send_all_pipelined(data) : sender.send_all(data);
+    const auto report = sender.send_all(data);
 
     std::printf("\nsender: %zu blocks in %.3f s wall%s\n",
                 report.blocks.size(), report.total_seconds,

@@ -60,11 +60,9 @@ StreamReport drive_stream(ByteView data, const ExperimentConfig& config,
     adaptive.async_sampling = false;
   }
   AdaptiveSender sender(scenario.duplex.a(), adaptive);
-  if (config.context_takeover) {
-    if (config.pace <= 0 && !method) return sender.send_all(data);
-    if (config.pace <= 0 && method) {
-      return sender.send_all_fixed(data, *method);
-    }
+  if (config.context_takeover && config.pace <= 0) {
+    return method ? sender.send_all_fixed(data, *method)
+                  : sender.send_all(data);
   }
 
   StreamReport stream;
@@ -86,16 +84,7 @@ StreamReport drive_stream(ByteView data, const ExperimentConfig& config,
         method ? sender.send_block_fixed(data.subspan(off, len), *method)
                : sender.send_block(data.subspan(off, len), next));
   }
-  for (const auto& b : stream.blocks) {
-    stream.original_bytes += b.original_size;
-    stream.wire_bytes += b.wire_size;
-    stream.compress_seconds += b.compress_seconds;
-  }
-  if (!stream.blocks.empty()) {
-    stream.total_seconds =
-        stream.blocks.back().delivered - stream.blocks.front().submitted +
-        stream.blocks.front().compress_seconds;
-  }
+  stream.finalize();
   return stream;
 }
 

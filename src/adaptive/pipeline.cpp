@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <future>
 
-#include "compress/null_codec.hpp"
+#include "engine/block_pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace acex::adaptive {
@@ -113,72 +113,32 @@ ReceiverMetrics& receiver_metrics() {
 
 }  // namespace
 
-EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
-                          MethodId method, std::uint64_t sequence,
-                          std::size_t expansion_slack_bytes,
-                          bool allow_degrade) {
-  EncodeResult result;
+PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
+                             MethodId method,
+                             std::size_t expansion_slack_bytes,
+                             bool allow_degrade) {
+  PayloadEncode result;
   result.method = method;
   // Compress under real (monotonic) time — that is the CPU capability the
   // algorithm adapts to; the caller charges the scaled cost to whatever
   // timeline its experiment runs on.
   MonotonicClock cpu_clock;
-  const obs::ScopedSpan span(obs::BlockTracer::global(), sequence,
-                             obs::Stage::kEncode, obs::current_worker());
-  const Stopwatch cpu(cpu_clock);
-  bool degraded = false;
-  try {
-    const CodecPtr codec = registry.create(method);
-    result.framed = BufferView::own(frame_compress_seq(*codec, block, sequence));
-    if (allow_degrade && method != MethodId::kNone &&
-        result.framed.size() > block.size() +
-                                   frame_overhead_seq(block.size(), sequence) +
-                                   expansion_slack_bytes) {
-      // The codec "succeeded" but made the block bigger than shipping it
-      // raw would — on the wire that is a failure.
-      degraded = true;
-    }
-  } catch (const Error&) {
-    if (!allow_degrade) {
-      result.failure = std::current_exception();
-      result.encode_seconds = cpu.elapsed();
-      return result;
-    }
-    degraded = true;
-    result.threw = true;
-  }
-  if (degraded) {
-    NullCodec null;
-    result.framed = BufferView::own(frame_compress_seq(null, block, sequence));
-    result.method = MethodId::kNone;
-    result.fallback = true;
-  }
-  result.encode_seconds = cpu.elapsed();
-  // Latency is attributed to the *requested* method — a fallback's cost is
-  // the failed codec's cost, not the null codec's.
-  sender_metrics().encode_us.for_method(method).record(result.encode_seconds *
-                                                       1e6);
-  return result;
-}
-
-PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
-                             MethodId method,
-                             std::size_t expansion_slack_bytes) {
-  PayloadEncode result;
-  result.method = method;
-  MonotonicClock cpu_clock;
-  const obs::ScopedSpan span(obs::BlockTracer::global(), 0,
-                             obs::Stage::kEncode, obs::current_worker());
   const Stopwatch cpu(cpu_clock);
   bool degraded = false;
   try {
     const CodecPtr codec = registry.create(method);
     result.payload = BufferView::own(codec->compress(block));
-    if (method != MethodId::kNone &&
-        result.payload.size() > block.size() + expansion_slack_bytes) {
-      degraded = true;
-    }
+    // The codec "succeeded" but its frame would be bigger than the block's
+    // null frame — on the wire that is a failure. Frames of equal sequence
+    // differ only in the payload and its size varint, so sequence 0 judges
+    // every sequence.
+    degraded = allow_degrade && method != MethodId::kNone &&
+               result.payload.size() +
+                       frame_overhead_seq(result.payload.size(), 0) >
+                   block.size() + frame_overhead_seq(block.size(), 0) +
+                       expansion_slack_bytes;
   } catch (const Error&) {
+    if (!allow_degrade) throw;
     degraded = true;
     result.threw = true;
   }
@@ -190,8 +150,36 @@ PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
     result.fallback = true;
   }
   result.encode_seconds = cpu.elapsed();
+  // Latency is attributed to the *requested* method — a fallback's cost is
+  // the failed codec's cost, not the null codec's.
   sender_metrics().encode_us.for_method(method).record(result.encode_seconds *
                                                        1e6);
+  return result;
+}
+
+EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
+                          MethodId method, std::uint64_t sequence,
+                          std::size_t expansion_slack_bytes,
+                          bool allow_degrade) {
+  EncodeResult result;
+  result.method = method;
+  MonotonicClock cpu_clock;
+  const obs::ScopedSpan span(obs::BlockTracer::global(), sequence,
+                             obs::Stage::kEncode, obs::current_worker());
+  const Stopwatch cpu(cpu_clock);
+  try {
+    const PayloadEncode payload = encode_payload(
+        registry, block, method, expansion_slack_bytes, allow_degrade);
+    result.framed = BufferView::own(frame_build_seq(
+        payload.method, payload.payload, crc32(block), sequence));
+    result.method = payload.method;
+    result.fallback = payload.fallback;
+    result.threw = payload.threw;
+  } catch (const Error&) {
+    // Only without degradation: the fixed-method caller rethrows it.
+    result.failure = std::current_exception();
+  }
+  result.encode_seconds = cpu.elapsed();
   return result;
 }
 
@@ -514,7 +502,7 @@ BlockPlan AdaptiveSender::plan_block(ByteView block, ByteView next_block) {
   if (config_.async_sampling && !next_block.empty()) {
     sampler_.launch(next_block);
   }
-  return plan_from_sample(block, sample);
+  return plan_block_sampled(block, sample);
 }
 
 BlockPlan AdaptiveSender::plan_block_sampled(ByteView block,
@@ -522,11 +510,6 @@ BlockPlan AdaptiveSender::plan_block_sampled(ByteView block,
   if (block.size() > config_.decision.block_size) {
     throw ConfigError("adaptive: block exceeds configured block_size");
   }
-  return plan_from_sample(block, sample);
-}
-
-BlockPlan AdaptiveSender::plan_from_sample(ByteView block,
-                                           const SampleResult& sample) {
   // The sequence is assigned at the end of planning; bind it late.
   obs::ScopedSpan span(obs::BlockTracer::global(), blocks_sent_,
                        obs::Stage::kPlan);
@@ -607,96 +590,99 @@ BlockReport AdaptiveSender::send_block(ByteView block, ByteView next_block) {
   return transmit_planned(plan, block);
 }
 
-void AdaptiveSender::finalize_stream(StreamReport& stream) {
-  for (const auto& b : stream.blocks) {
-    stream.original_bytes += b.original_size;
-    stream.wire_bytes += b.wire_size;
-    stream.compress_seconds += b.compress_seconds;
+void StreamReport::finalize() noexcept {
+  for (const auto& b : blocks) {
+    original_bytes += b.original_size;
+    wire_bytes += b.wire_size;
+    compress_seconds += b.compress_seconds;
   }
-  if (!stream.blocks.empty()) {
-    stream.total_seconds =
-        stream.blocks.back().delivered - stream.blocks.front().submitted +
-        stream.blocks.front().compress_seconds;
+  if (!blocks.empty()) {
+    total_seconds = blocks.back().delivered - blocks.front().submitted +
+                    blocks.front().compress_seconds;
   }
-}
-
-StreamReport AdaptiveSender::send_all(ByteView data) {
-  StreamReport stream;
-  const std::size_t block_size = config_.decision.block_size;
-  for (std::size_t off = 0; off < data.size(); off += block_size) {
-    const std::size_t len = std::min(block_size, data.size() - off);
-    const std::size_t next_off = off + len;
-    const ByteView next =
-        next_off < data.size()
-            ? data.subspan(next_off,
-                           std::min(block_size, data.size() - next_off))
-            : ByteView{};
-    stream.blocks.push_back(send_block(data.subspan(off, len), next));
-  }
-  finalize_stream(stream);
-  return stream;
 }
 
 BlockReport AdaptiveSender::send_block_fixed(ByteView block, MethodId method) {
   return transmit_planned(plan_block_fixed(block, method), block);
 }
 
-StreamReport AdaptiveSender::send_all_pipelined(ByteView data) {
-  struct Prepared {
+StreamReport AdaptiveSender::send_all(ByteView data) {
+  return run(data, std::nullopt);
+}
+
+StreamReport AdaptiveSender::send_all_fixed(ByteView data, MethodId method) {
+  return run(data, method);
+}
+
+StreamReport AdaptiveSender::run(ByteView data,
+                                 std::optional<MethodId> fixed) {
+  // One block's journey through the pipeline: the serial plan rides along
+  // with the encode result so the block can be finished without any
+  // side-channel state.
+  struct ReadyBlock {
     BlockPlan plan;
     std::size_t original_size = 0;
     EncodeResult encoded;
   };
 
-  // Decide on the calling thread (estimator state is not thread-safe),
-  // compress on a worker so it overlaps the previous block's send. The
-  // worker runs only the thread-safe encode_block() over immutable input.
-  // For deeper overlap (many workers, bounded reorder window) use
-  // engine::ParallelSender, which drives these same hooks.
-  const auto launch = [this, data](std::size_t off) {
-    const std::size_t len =
-        std::min(config_.decision.block_size, data.size() - off);
-    const ByteView block = data.subspan(off, len);
-    // No pending async sample exists on this path, so plan_block samples
-    // inline; next_block stays empty because the encode itself is what
-    // overlaps the send here.
-    const BlockPlan plan = plan_block(block);
-    const std::size_t slack = config_.expansion_slack_bytes;
-    return std::async(std::launch::async, [this, block, plan, slack] {
-      Prepared p;
-      p.plan = plan;
-      p.original_size = block.size();
-      p.encoded = encode_block(registry_, block, plan.method, plan.sequence,
-                               slack, plan.allow_degrade);
-      return p;
-    });
+  const std::size_t workers = worker_count();
+  // Window of 2x the workers: enough slack that a straggler block does not
+  // idle the pool, small enough that buffering stays a handful of blocks.
+  // The pool queue matches the window — the driver never outruns either.
+  const std::size_t window = std::max<std::size_t>(2 * workers, 4);
+  if (workers > 1 && !pool_) {
+    // Workers share the registry read-only from here on; freezing makes a
+    // concurrent register_factory() a loud error instead of a data race.
+    registry_.freeze();
+    pool_ = std::make_unique<engine::ThreadPool>(workers, window);
+  }
+  const std::size_t block_size = config_.decision.block_size;
+
+  StreamReport stream;
+  // Without a pool (1 worker) every encode runs inline in submit().
+  engine::ParallelBlockPipeline<ReadyBlock> pipeline(pool_.get(), window);
+  const auto finish = [&](ReadyBlock ready) {
+    stream.blocks.push_back(finish_block(ready.plan, ready.original_size,
+                                         std::move(ready.encoded)));
   };
 
-  StreamReport stream;
-  if (data.empty()) return stream;
-
-  std::future<Prepared> inflight = launch(0);
-  for (std::size_t off = 0; off < data.size();) {
-    Prepared p = inflight.get();
-    const std::size_t next_off = off + p.original_size;
-    if (next_off < data.size()) inflight = launch(next_off);
-    stream.blocks.push_back(
-        finish_block(p.plan, p.original_size, std::move(p.encoded)));
-    off = next_off;
-  }
-  finalize_stream(stream);
-  return stream;
-}
-
-StreamReport AdaptiveSender::send_all_fixed(ByteView data, MethodId method) {
-  StreamReport stream;
-  const std::size_t block_size = config_.decision.block_size;
   for (std::size_t off = 0; off < data.size(); off += block_size) {
     const std::size_t len = std::min(block_size, data.size() - off);
-    stream.blocks.push_back(
-        send_block_fixed(data.subspan(off, len), method));
+    const ByteView block = data.subspan(off, len);
+    const std::size_t next_off = off + len;
+    const ByteView next =
+        !fixed && next_off < data.size()
+            ? data.subspan(next_off,
+                           std::min(block_size, data.size() - next_off))
+            : ByteView{};
+
+    // Serial: sample + decide (adaptive) or just claim a sequence (fixed).
+    const BlockPlan plan =
+        fixed ? plan_block_fixed(block, *fixed) : plan_block(block, next);
+
+    // Keep in-flight strictly below the window before submitting: the
+    // blocking collect doubles as backpressure on planning, and it
+    // guarantees workers never block pushing into the reorder window
+    // (every live sequence stays inside it), so this single driver thread
+    // cannot deadlock against its own pipeline.
+    while (pipeline.in_flight() >= pipeline.window_capacity()) {
+      finish(pipeline.collect());
+    }
+    pipeline.submit([this, plan, block] {
+      return ReadyBlock{plan, block.size(),
+                        encode_block(registry_, block, plan.method,
+                                     plan.sequence,
+                                     config_.expansion_slack_bytes,
+                                     plan.allow_degrade)};
+    });
+
+    // Opportunistic drain: ship whatever completed in order while the
+    // workers chew on the rest.
+    ReadyBlock ready;
+    while (pipeline.try_collect(ready)) finish(std::move(ready));
   }
-  finalize_stream(stream);
+  while (pipeline.in_flight() > 0) finish(pipeline.collect());
+  stream.finalize();
   return stream;
 }
 

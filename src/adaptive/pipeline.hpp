@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -13,6 +14,7 @@
 #include "adaptive/sampler.hpp"
 #include "compress/frame.hpp"
 #include "compress/registry.hpp"
+#include "engine/thread_pool.hpp"
 #include "netsim/bandwidth.hpp"
 #include "transport/retransmit.hpp"
 #include "transport/transport.hpp"
@@ -51,11 +53,11 @@ struct AdaptiveConfig {
   std::function<void(Seconds)> on_cpu_time;
 
   /// A block counts as "expanded" (degrading it to the null codec) only
-  /// when the framed output exceeds the framed-null size by more than this
-  /// many bytes. The slack keeps stored-mode codec output on incompressible
-  /// data — a handful of bytes of per-chunk overhead — from masquerading as
-  /// a failure; it matches the <= 64-byte tolerance the target-rate
-  /// experiments assume.
+  /// when its framed output would exceed the framed-null size by more than
+  /// this many bytes (see encode_payload()). The slack keeps stored-mode
+  /// codec output on incompressible data — a handful of bytes of per-chunk
+  /// overhead — from masquerading as a failure; it matches the <= 64-byte
+  /// tolerance the target-rate experiments assume.
   std::size_t expansion_slack_bytes = 64;
 
   /// Circuit breaker: after this many consecutive failures (codec throw or
@@ -75,10 +77,12 @@ struct AdaptiveConfig {
   int retransmit_max_retries = 3;
   std::size_t retransmit_max_bytes = 0;
 
-  /// Worker threads of the parallel engine (engine::ParallelSender): 1 is
-  /// the serial path, 0 asks for one worker per hardware thread, anything
-  /// else is taken literally. AdaptiveSender itself ignores this — only
-  /// the engine reads it.
+  /// Encode workers of send_all()/send_all_fixed(): 1 encodes inline on
+  /// the calling thread (the serial path), 0 asks for one worker per
+  /// hardware thread, anything else is taken literally. The pool is
+  /// created on the first multi-worker send_all, so senders driven only
+  /// through plan_block_sampled()/finish_block() (broker and daemon
+  /// subscribers) never start a thread.
   std::size_t worker_threads = 1;
 
   /// Broker mode: the transport this sender writes to is an internal
@@ -130,33 +134,28 @@ struct EncodeResult {
   std::exception_ptr failure;         ///< set iff !allow_degrade and it threw
 };
 
-/// Compress `block` with `method` and wrap it in a v2 frame carrying
-/// `sequence` — the per-block encode step, extracted so the parallel
-/// engine can run it off-thread.
+/// The per-block encode step of the sender: encode_payload() plus a v2
+/// frame carrying `sequence`, over one CRC of `block`. Runs on any
+/// thread; `encode_seconds` times codec, CRC and framing together.
 ///
 /// Thread safety: touches no shared mutable state. It reads `registry`
 /// (safe concurrently once frozen — see CodecRegistry), creates a fresh
 /// codec per call (codec instances are not shareable), and writes only
 /// its result. Concurrent calls on different blocks are race-free.
 ///
-/// With `allow_degrade`, a codec throw or an expanded output (framed size
-/// beyond the framed-null size plus `expansion_slack_bytes`) falls back to
-/// the null codec and is reported via `fallback`/`threw`. Without it, a
-/// codec throw is captured into `failure` instead (never thrown here, so
-/// worker threads stay exception-free).
+/// Degradation is encode_payload()'s. Without `allow_degrade`, a codec
+/// throw is captured into `failure` instead (never thrown here, so worker
+/// threads stay exception-free).
 EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
                           MethodId method, std::uint64_t sequence,
                           std::size_t expansion_slack_bytes,
                           bool allow_degrade = true);
 
 /// One shared (sequence-free) encode of a block: the codec output plus the
-/// degradation verdict, WITHOUT the frame envelope. The fan-out broker runs
-/// this once per distinct method and then frames the payload once per
-/// subscriber with frame_build_seq() — byte-identical payloads across every
-/// subscriber that chose the method. The expansion check compares raw
-/// payload size against the block plus `expansion_slack_bytes` (the frame
-/// envelope around either differs by at most the size-varint width, well
-/// inside the slack).
+/// degradation verdict, WITHOUT the frame envelope. encode_block() frames
+/// it once per block; the fan-out broker runs it once per distinct method
+/// and frames the payload once per subscriber with frame_build_seq(), so
+/// both produce byte-identical frames for the same block and sequence.
 struct PayloadEncode {
   /// Codec output. Owned for real codec output; on the null/fallback path
   /// it BORROWS the input block (zero-copy), so a PayloadEncode must not
@@ -165,14 +164,22 @@ struct PayloadEncode {
   MethodId method = MethodId::kNone;  ///< method actually encoded
   bool fallback = false;              ///< degraded to the null codec
   bool threw = false;                 ///< fallback cause: throw vs expansion
-  Seconds encode_seconds = 0;         ///< raw (unscaled) wall-clock CPU time
+  Seconds encode_seconds = 0;         ///< raw codec wall-clock CPU time
 };
 
+/// The one expansion/degrade rule. With `allow_degrade`, a codec throw, or
+/// an output whose frame would exceed the block's null frame by more than
+/// `expansion_slack_bytes`, falls back to the null codec and is reported
+/// via `fallback`/`threw`; the sequence varint is common to both frames,
+/// so the verdict holds for every sequence. Without it, the output is
+/// kept whatever its size and a codec error propagates to the caller.
+///
 /// Thread safety: identical to encode_block() — reads a frozen registry,
-/// writes only its result. Degradation is always allowed on this path.
+/// writes only its result.
 PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
                              MethodId method,
-                             std::size_t expansion_slack_bytes);
+                             std::size_t expansion_slack_bytes,
+                             bool allow_degrade = true);
 
 /// Sender-side degradation counters (circuit breaker + NACK service),
 /// surfaced per block through adaptive/telemetry as well.
@@ -209,6 +216,9 @@ struct StreamReport {
   Seconds total_seconds = 0;        ///< first submit -> last delivery
   Seconds compress_seconds = 0;     ///< sum of (scaled) compression time
 
+  /// Fill the (still zero) stream-level totals from `blocks`.
+  void finalize() noexcept;
+
   double compression_share() const noexcept {
     return total_seconds > 0 ? compress_seconds / total_seconds : 0.0;
   }
@@ -229,17 +239,14 @@ class AdaptiveSender {
   explicit AdaptiveSender(transport::Transport& transport,
                           AdaptiveConfig config = {});
 
-  /// Stream `data` as blocks; returns per-block reports.
+  /// Stream `data` as blocks; returns per-block reports. Planning and
+  /// transmission stay on the calling thread; encodes run on
+  /// `worker_count()` workers (inline for 1, the serial path) and frames
+  /// leave in sequence order. With W > 1 workers up to 2W blocks are in
+  /// flight, so the selector sees feedback that many blocks stale — the
+  /// compression/transmission overlap the paper's alpha < 1 presumes.
+  /// The codec registry freezes on the first multi-worker send.
   StreamReport send_all(ByteView data);
-
-  /// Stream `data` with compression overlapped against transmission: while
-  /// block i crosses the wire, block i+1 is compressed on a worker task.
-  /// This is the deployment mode the paper's alpha < 1 presumes ("the
-  /// overlap credit"); per-block decisions use the bandwidth estimate as
-  /// of launch, one block staler than send_all's. Only worthwhile on
-  /// wall-clock transports — under a VirtualClock, send() consumes no real
-  /// time and there is nothing to overlap.
-  StreamReport send_all_pipelined(ByteView data);
 
   /// Send exactly one block (at most block_size bytes). When `next_block`
   /// is non-empty and async sampling is on, its 4 KiB prefix is sampled
@@ -253,8 +260,15 @@ class AdaptiveSender {
 
   /// Force every block through one method — the paper's non-adaptive
   /// baselines ("rather than in the 29.1388 seconds it took without
-  /// compression").
+  /// compression"). Same driver as send_all(); a codec failure surfaces
+  /// here in block order, and blocks already encoding behind it are
+  /// discarded, never transmitted.
   StreamReport send_all_fixed(ByteView data, MethodId method);
+
+  /// Resolved AdaptiveConfig::worker_threads.
+  std::size_t worker_count() const noexcept {
+    return engine::resolve_worker_threads(config_.worker_threads);
+  }
 
   /// Replay previously sent frames by sequence number from the bounded
   /// retransmit ring (the sender half of the NACK protocol). Returns how
@@ -275,16 +289,17 @@ class AdaptiveSender {
   std::optional<std::size_t> replay_range(std::uint64_t from,
                                           std::uint64_t to);
 
-  // --- engine hooks ----------------------------------------------------
-  // The parallel engine splits a block send into three steps so the encode
-  // can run off-thread while selection and transmission stay serial:
+  // --- block steps -----------------------------------------------------
+  // A block send is three steps, so the encode can run off-thread while
+  // selection and transmission stay serial:
   //   1. plan_block()   — sample, decide, assign the sequence (driver
   //                       thread only; mutates estimator state);
   //   2. encode_block() — free function, any thread, no shared state;
   //   3. finish_block() — bookkeeping + wire transmission (driver thread
   //                       only, called in strictly increasing sequence
   //                       order so frames leave in order).
-  // send_block() is exactly plan → encode → finish inline.
+  // send_block() is exactly plan → encode → finish inline; send_all()
+  // drives the same steps over a stream.
 
   /// Serial selector step: sample (collecting any pending async sample),
   /// choose the method (§2.5 decision + target rate + circuit breaker),
@@ -346,12 +361,9 @@ class AdaptiveSender {
   /// plan → encode → finish on the calling thread.
   BlockReport transmit_planned(const BlockPlan& plan, ByteView block);
 
-  /// Shared tail of plan_block()/plan_block_sampled(): fold the sample into
-  /// the estimators, run the selector, claim the sequence.
-  BlockPlan plan_from_sample(ByteView block, const SampleResult& sample);
-
-  /// Sum a finished block list into the stream-level totals.
-  static void finalize_stream(StreamReport& stream);
+  /// The stream driver behind send_all() (`fixed` empty) and
+  /// send_all_fixed().
+  StreamReport run(ByteView data, std::optional<MethodId> fixed);
 
   /// Demote a quarantined method down the ladder (circuit breaker open).
   MethodId apply_circuit_breaker(MethodId method) const noexcept;
@@ -409,6 +421,7 @@ class AdaptiveSender {
   std::map<MethodId, MethodHealth> health_;
   DegradationStats degradation_;
   transport::RetransmitRing ring_{64, 3};
+  std::unique_ptr<engine::ThreadPool> pool_;  ///< first multi-worker send
 };
 
 /// What the receiver does when a frame off the wire is damaged.

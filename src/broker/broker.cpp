@@ -1,10 +1,11 @@
 #include "broker/broker.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <utility>
 
+#include "engine/block_pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 
@@ -251,29 +252,22 @@ void FanoutBroker::publish_chunk(ByteView block,
   std::map<GroupKey, adaptive::PayloadEncode> groups;
   for (const auto& p : planned) groups.emplace(key_of(p), adaptive::PayloadEncode{});
 
-  // Encode once per group — concurrently when the pool exists and there
-  // is more than one group. encode_payload never throws (pool contract).
-  if (pool_ && groups.size() > 1) {
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    std::size_t remaining = groups.size();
-    for (auto& [key, slot] : groups) {
-      adaptive::PayloadEncode* out = &slot;
-      const GroupKey k = key;
-      pool_->submit([this, block, k, out, &done_mutex, &done_cv, &remaining] {
-        adaptive::PayloadEncode enc =
-            adaptive::encode_payload(registry_, block, k.first, k.second);
-        std::lock_guard<std::mutex> lock(done_mutex);
-        *out = std::move(enc);
-        if (--remaining == 0) done_cv.notify_one();
+  // Encode once per group — on the pool when there is more than one group,
+  // inline otherwise. The window holds every group, so all jobs go in
+  // before the first collect. encode_payload never throws with degradation
+  // allowed (pool contract).
+  {
+    engine::ParallelBlockPipeline<adaptive::PayloadEncode> pipeline(
+        groups.size() > 1 ? pool_.get() : nullptr, groups.size());
+    for (const auto& entry : groups) {
+      pipeline.submit([this, block, key = entry.first] {
+        const obs::ScopedSpan span(obs::BlockTracer::global(), 0,
+                                   obs::Stage::kEncode, obs::current_worker());
+        return adaptive::encode_payload(registry_, block, key.first,
+                                        key.second);
       });
     }
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&remaining] { return remaining == 0; });
-  } else {
-    for (auto& [key, slot] : groups) {
-      slot = adaptive::encode_payload(registry_, block, key.first, key.second);
-    }
+    for (auto& entry : groups) entry.second = pipeline.collect();
   }
 
   double encode_cpu = 0;

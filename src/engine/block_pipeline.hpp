@@ -30,7 +30,13 @@ namespace acex::engine {
 /// submitting (collect() once `in_flight()` reaches `window_capacity()`),
 /// because a full window can only drain through that same thread.
 ///
-/// Jobs must not throw (see ThreadPool); carry failures inside `T`.
+/// Without a pool, submit() runs each job inline on the calling thread:
+/// the same submit/collect loop then degenerates to job(i) → collect(i)
+/// → job(i+1), which is how the 1-worker sender stays the serial path.
+///
+/// Jobs must not throw (see ThreadPool); carry failures inside `T`. An
+/// inline job that throws anyway propagates out of submit() and is not
+/// counted as submitted.
 ///
 /// One consumer thread at a time; submit() and collect() may be the same
 /// thread (the usual driver-loop shape) or two different ones.
@@ -41,9 +47,9 @@ class ParallelBlockPipeline {
 
   /// `window_capacity` bounds completed-but-undelivered results; keep it
   /// at least the pool's worker count or workers will sit idle waiting for
-  /// window slots.
-  ParallelBlockPipeline(ThreadPool& pool, std::size_t window_capacity)
-      : pool_(&pool), window_(window_capacity) {}
+  /// window slots. A null `pool` runs every job inline in submit().
+  ParallelBlockPipeline(ThreadPool* pool, std::size_t window_capacity)
+      : pool_(pool), window_(window_capacity) {}
 
   /// Pipelines drain on destruction: any job still queued or running is
   /// finished (its result discarded), so jobs may safely reference state
@@ -60,6 +66,15 @@ class ParallelBlockPipeline {
   /// Enqueue the encode job for the next sequence; returns that sequence.
   /// Blocks while the pool's task queue is full.
   std::uint64_t submit(Job job) {
+    if (pool_ == nullptr) {
+      T value = job();
+      std::unique_lock<std::mutex> lock(mutex_);
+      const std::uint64_t sequence = submitted_++;
+      ++completed_;
+      lock.unlock();
+      window_.push(sequence, std::move(value));
+      return sequence;
+    }
     std::uint64_t sequence;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -107,7 +122,7 @@ class ParallelBlockPipeline {
   std::size_t window_capacity() const noexcept { return window_.capacity(); }
 
  private:
-  ThreadPool* pool_;
+  ThreadPool* pool_;  ///< null = run jobs inline
   ReorderWindow<T> window_;
   mutable std::mutex mutex_;
   std::condition_variable all_done_;

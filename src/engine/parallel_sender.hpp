@@ -1,65 +1,36 @@
 #pragma once
 
-#include <optional>
+#include <utility>
 
 #include "adaptive/pipeline.hpp"
-#include "engine/thread_pool.hpp"
 #include "transport/transport.hpp"
 
 namespace acex::engine {
 
-/// Multi-core front end over the AdaptiveSender (DESIGN.md §8): method
-/// selection stays serial on the driver thread (decisions feed on monitor
-/// state the previous block just updated), block encode/frame work fans
-/// out to a ThreadPool, and completed frames are re-sequenced through a
-/// bounded reorder window so they reach the transport in strictly
-/// increasing sequence order — PR 1's sequence/NACK machinery on the
-/// receiving side is none the wiser.
-///
-/// Sizing comes from AdaptiveConfig::worker_threads (0 = one per hardware
-/// thread). With 1 worker the facade delegates to the serial
-/// AdaptiveSender paths outright, so "1 worker" in any comparison IS the
-/// serial baseline. Memory stays bounded: at most `window_capacity()`
-/// encoded blocks are buffered; beyond that, planning stalls until the
-/// oldest outstanding block has shipped (backpressure).
-///
-/// Consistency vs the serial path: the reassembled payload is
-/// byte-identical (every block round-trips through the same codecs and
-/// frames), but per-block method choices may differ — with W blocks in
-/// flight, the selector sees feedback up to W blocks stale, like
-/// send_all_pipelined's "one block staler" but wider.
-///
-/// The sender's codec registry is frozen on the first parallel send
-/// (concurrent workers read it); register custom codecs before that.
-/// Not thread-safe itself: one stream, one driver thread.
+/// Former name of the multi-core sender, kept as a thin forwarding class
+/// for code written against it. AdaptiveSender::send_all/send_all_fixed
+/// are the one stream driver now and size their own worker pool from
+/// AdaptiveConfig::worker_threads (DESIGN.md §8); this class adds nothing.
 class ParallelSender {
  public:
   explicit ParallelSender(transport::Transport& transport,
-                          adaptive::AdaptiveConfig config = {});
+                          adaptive::AdaptiveConfig config = {})
+      : sender_(transport, std::move(config)) {}
 
-  /// Adaptive stream send, parallel encode, ordered delivery.
-  adaptive::StreamReport send_all(ByteView data);
+  adaptive::StreamReport send_all(ByteView data) {
+    return sender_.send_all(data);
+  }
+  adaptive::StreamReport send_all_fixed(ByteView data, MethodId method) {
+    return sender_.send_all_fixed(data, method);
+  }
 
-  /// Fixed-method baseline through the same parallel machinery. A codec
-  /// failure surfaces on the driver thread in block order (no degradation
-  /// on baselines); blocks already in flight behind the failure are
-  /// finished by the workers but discarded, never transmitted.
-  adaptive::StreamReport send_all_fixed(ByteView data, MethodId method);
-
-  /// The wrapped serial sender: estimators, degradation stats, registry.
   adaptive::AdaptiveSender& sender() noexcept { return sender_; }
   const adaptive::AdaptiveSender& sender() const noexcept { return sender_; }
 
-  std::size_t worker_count() const noexcept { return workers_; }
-  std::size_t window_capacity() const noexcept { return window_; }
+  std::size_t worker_count() const noexcept { return sender_.worker_count(); }
 
  private:
-  adaptive::StreamReport run(ByteView data, std::optional<MethodId> fixed);
-
   adaptive::AdaptiveSender sender_;
-  std::size_t workers_;
-  std::size_t window_;
-  std::optional<ThreadPool> pool_;  ///< engaged only when workers_ > 1
 };
 
 }  // namespace acex::engine

@@ -6,7 +6,6 @@
 #include "colpipe/columnar_codec.hpp"
 #include "compress/frame.hpp"
 #include "compress/zlib_codec.hpp"
-#include "engine/parallel_sender.hpp"
 #include "netsim/link.hpp"
 #include "pbio/pbio.hpp"
 #include "echo/event.hpp"
@@ -236,9 +235,9 @@ Verdict serial_parallel_identity(ByteView data, MethodId method,
   VirtualClock parallel_clock;
   netsim::SimLink pf(flat_link(1e8), 1), pr(flat_link(1e9), 2);
   transport::SimDuplex parallel_duplex(pf, pr, parallel_clock);
-  engine::ParallelSender parallel(parallel_duplex.a(),
-                                  engine_config(workers, block_size));
-  colpipe::register_columnar(parallel.sender().registry());
+  adaptive::AdaptiveSender parallel(parallel_duplex.a(),
+                                    engine_config(workers, block_size));
+  colpipe::register_columnar(parallel.registry());
   parallel.send_all_fixed(data, method);
   const std::vector<Bytes> parallel_wire = drain_wire(parallel_duplex.b());
 
@@ -286,8 +285,8 @@ Verdict serial_parallel_adaptive(ByteView data, std::size_t workers,
   VirtualClock parallel_clock;
   netsim::SimLink pf(flat_link(1e8), 1), pr(flat_link(1e9), 2);
   transport::SimDuplex parallel_duplex(pf, pr, parallel_clock);
-  engine::ParallelSender parallel(parallel_duplex.a(),
-                                  engine_config(workers, block_size));
+  adaptive::AdaptiveSender parallel(parallel_duplex.a(),
+                                    engine_config(workers, block_size));
   parallel.send_all(data);
   adaptive::AdaptiveReceiver parallel_rx(parallel_duplex.b());
   const Bytes parallel_payload = parallel_rx.receive_available();

@@ -73,11 +73,11 @@ Verdict colpipe_survives(const Bytes& mutated, std::size_t original_hint);
 /// echo::deserialize_event / AttributeMap::deserialize on arbitrary bytes.
 Verdict event_survives(const Bytes& mutated);
 
-/// Differential engine oracle: stream `data` through the serial
-/// AdaptiveSender and through an N-worker ParallelSender, both fixed on
-/// `method` over identical emulated links, and require the two wire
-/// streams to be byte-identical frame by frame AND to decode back to
-/// `data`. Returns the block count through `blocks_out` when non-null.
+/// Differential engine oracle: stream `data` through a 1-worker and an
+/// N-worker AdaptiveSender, both fixed on `method` over identical emulated
+/// links, and require the two wire streams to be byte-identical frame by
+/// frame AND to decode back to `data`. Returns the block count through
+/// `blocks_out` when non-null.
 Verdict serial_parallel_identity(ByteView data, MethodId method,
                                  std::size_t workers, std::size_t block_size,
                                  std::size_t* blocks_out = nullptr);

@@ -10,7 +10,6 @@
 #include "broker/broker.hpp"
 #include "echo/bridge.hpp"
 #include "echo/channel.hpp"
-#include "engine/parallel_sender.hpp"
 #include "netsim/link.hpp"
 #include "obs/metrics.hpp"
 #include "qa/generators.hpp"
@@ -395,7 +394,7 @@ SoakReport run_soak(const SoakConfig& config) {
   eng_config.worker_threads = config.workers;
   eng_config.retransmit_capacity = config.blocks_per_round * 6 + 64;
   eng_config.retransmit_max_retries = config.nack_retry_cap;
-  engine::ParallelSender eng_tx(eng_lossy, eng_config);
+  adaptive::AdaptiveSender eng_tx(eng_lossy, eng_config);
 
   adaptive::ReceiverConfig rx_config;
   rx_config.policy = adaptive::RecoveryPolicy::kNack;
@@ -450,7 +449,7 @@ SoakReport run_soak(const SoakConfig& config) {
     for (int pass = 0; pass < config.nack_retry_cap + extra_passes; ++pass) {
       const std::vector<std::uint64_t> nacks = eng_rx.take_nacks();
       if (nacks.empty()) return true;
-      report.block_retransmits += eng_tx.sender().retransmit(nacks);
+      report.block_retransmits += eng_tx.retransmit(nacks);
       eng_lossy.flush();
       absorb(eng_rx.receive_report());
     }

@@ -100,6 +100,24 @@ TEST(BrokerGroups, HomogeneousSubscribersFormOneGroupPerBlock) {
   }
 }
 
+TEST(BrokerGroups, SubscriberSendersStartNoThreads) {
+  obs::Gauge& workers =
+      obs::MetricsRegistry::global().gauge("acex.engine.workers");
+  const std::int64_t before = workers.value();
+  VirtualClock clock;
+  SimEndpoint endpoint(clock);
+  FanoutBroker broker;
+  SubscriberConfig config;
+  config.adaptive.worker_threads = 0;  // one per hardware thread, if used
+  broker.subscribe(endpoint.duplex.a(), config);
+  for (int i = 0; i < 3; ++i) {
+    broker.publish(compressible_block(8 * 1024, 20 + i));
+    broker.pump_all();
+  }
+  EXPECT_EQ(broker.stats().blocks, 3u);
+  EXPECT_EQ(workers.value(), before);
+}
+
 TEST(BrokerGroups, HeterogeneousLinksFormMethodGroups) {
   VirtualClock clock;
   // Two subscribers behind an (initially) very fast link — sending is
@@ -181,6 +199,83 @@ TEST(BrokerCache, SubscribersOnIdenticalLinksReceiveIdenticalBytes) {
   ASSERT_NE(misses, nullptr);
   EXPECT_EQ(hits->counter, stats.cache_hits);
   EXPECT_EQ(misses->counter, stats.cache_misses);
+}
+
+/// Keeps every frame it is handed, in order.
+class CaptureTransport final : public transport::Transport {
+ public:
+  void send(ByteView message) override {
+    frames.emplace_back(message.begin(), message.end());
+  }
+  std::optional<Bytes> receive() override { return std::nullopt; }
+  const Clock& clock() const override { return clock_; }
+
+  std::vector<Bytes> frames;
+
+ private:
+  VirtualClock clock_;
+};
+
+/// Emits exactly `input + slack` bytes whatever the input: its frame sits
+/// right on the expansion limit, where only the frame's size varint can
+/// tip the verdict.
+class FixedSizeCodec final : public Codec {
+ public:
+  explicit FixedSizeCodec(std::size_t slack) : slack_(slack) {}
+  MethodId id() const noexcept override { return MethodId::kBurrowsWheeler; }
+  Bytes compress(ByteView input) override {
+    Bytes out(input.begin(), input.end());
+    out.resize(input.size() + slack_, 0x5A);
+    return out;
+  }
+  Bytes decompress(ByteView input) override {
+    return Bytes(input.begin(), input.begin() + (input.size() - slack_));
+  }
+
+ private:
+  std::size_t slack_;
+};
+
+TEST(BrokerCache, FramesMatchTheSenderOnTheExpansionEdge) {
+  adaptive::AdaptiveConfig config;
+  config.async_sampling = false;
+  config.target_rate_Bps = 1e12;  // pin the selector to the ladder top
+  const std::size_t slack = config.expansion_slack_bytes;
+  const auto fixed_size = [slack] {
+    return CodecPtr(new FixedSizeCodec(slack));
+  };
+
+  CaptureTransport direct;
+  adaptive::AdaptiveSender sender(direct, config);
+  sender.registry().register_factory(MethodId::kBurrowsWheeler, fixed_size);
+
+  CaptureTransport downstream;
+  FanoutBroker broker;
+  broker.registry().register_factory(MethodId::kBurrowsWheeler, fixed_size);
+  SubscriberConfig sub_config;
+  sub_config.adaptive = config;
+  const SubscriberId id = broker.subscribe(downstream, sub_config);
+
+  // 127 and 16383 are the largest sizes with a 1- and a 2-byte size
+  // varint; 64 more bytes need one varint byte more.
+  const std::vector<Bytes> blocks = {compressible_block(127, 1),
+                                     compressible_block(16383, 2)};
+  for (const Bytes& block : blocks) {
+    const adaptive::StreamReport report = sender.send_all(block);
+    ASSERT_EQ(report.blocks.size(), 1u);
+    EXPECT_EQ(report.blocks[0].requested_method, MethodId::kBurrowsWheeler);
+    EXPECT_TRUE(report.blocks[0].fallback) << block.size() << "-byte block";
+    broker.publish(block);
+    broker.pump_all();
+  }
+
+  ASSERT_EQ(direct.frames.size(), blocks.size());
+  ASSERT_EQ(downstream.frames.size(), blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(downstream.frames[i], direct.frames[i])
+        << blocks[i].size() << "-byte block: broker and sender frames differ";
+  }
+  EXPECT_EQ(broker.subscriber_stats(id).fallbacks, blocks.size());
 }
 
 TEST(BrokerCache, LateJoinerSequencesStartAtZero) {

@@ -13,7 +13,6 @@
 #include "compress/frame.hpp"
 #include "compress/registry.hpp"
 #include "compress/zlib_codec.hpp"
-#include "engine/parallel_sender.hpp"
 #include "net/handshake.hpp"
 #include "netsim/link.hpp"
 #include "pbio/columnar.hpp"

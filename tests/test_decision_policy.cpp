@@ -11,7 +11,6 @@
 
 #include "adaptive/experiment.hpp"
 #include "adaptive/pipeline.hpp"
-#include "engine/parallel_sender.hpp"
 #include "netsim/link.hpp"
 #include "netsim/load_trace.hpp"
 #include "transport/sim_transport.hpp"
@@ -380,8 +379,8 @@ TEST(DecisionPolicyPaths, SerialAndParallelPickIdenticalMethods) {
     VirtualClock parallel_clock;
     netsim::SimLink pf(flat_link(1e6), 1), pr(flat_link(1e9), 2);
     transport::SimDuplex parallel_duplex(pf, pr, parallel_clock);
-    engine::ParallelSender parallel(parallel_duplex.a(),
-                                    policy_config(policy, 4));
+    adaptive::AdaptiveSender parallel(parallel_duplex.a(),
+                                      policy_config(policy, 4));
     const auto parallel_methods = methods_of(parallel.send_all(data));
 
     EXPECT_EQ(serial_methods, parallel_methods)

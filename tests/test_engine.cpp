@@ -1,9 +1,11 @@
 // Parallel compression engine (DESIGN.md §8): ThreadPool bounded-queue
 // semantics, ReorderWindow ordered delivery + backpressure,
-// ParallelBlockPipeline resequencing under adversarial completion order,
-// and the ParallelSender facade — serial-equivalent output, strictly
-// ordered frames on the wire, registry freezing, and the 8-worker ×
-// 500-block mixed-workload stress run over a faulty transport.
+// ParallelBlockPipeline resequencing under adversarial completion order
+// (and inline without a pool), and the multi-worker sender through the
+// ParallelSender forwarding class — serial-equivalent output, strictly
+// ordered frames on the wire, registry freezing, a lazily started pool,
+// and the 8-worker × 500-block mixed-workload stress run over a faulty
+// transport.
 
 #include <gtest/gtest.h>
 
@@ -204,7 +206,7 @@ TEST(EngineReorderWindow, ExactCapacityOccupancyAndBoundary) {
 
 TEST(EnginePipeline, ResequencesOutOfOrderCompletions) {
   ThreadPool pool(4, 16);
-  ParallelBlockPipeline<std::uint64_t> pipeline(pool, 16);
+  ParallelBlockPipeline<std::uint64_t> pipeline(&pool, 16);
   constexpr std::uint64_t kJobs = 64;
   // Earlier jobs sleep longer, so completion order inverts submission
   // order as hard as the pool allows.  The driver drains the window
@@ -229,11 +231,30 @@ TEST(EnginePipeline, ResequencesOutOfOrderCompletions) {
   EXPECT_EQ(pipeline.in_flight(), 0u);
 }
 
+TEST(EnginePipeline, WithoutAPoolEachJobRunsInsideSubmit) {
+  ParallelBlockPipeline<int> pipeline(nullptr, 4);
+  std::vector<int> collected;
+  for (int i = 0; i < 10; ++i) {
+    bool ran = false;
+    pipeline.submit([&ran, i] {
+      ran = true;
+      return i;
+    });
+    EXPECT_TRUE(ran) << "job " << i << " did not run inline";
+    EXPECT_EQ(pipeline.in_flight(), 1u);
+    int ready = -1;
+    ASSERT_TRUE(pipeline.try_collect(ready));
+    collected.push_back(ready);
+  }
+  EXPECT_EQ(collected, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(pipeline.in_flight(), 0u);
+}
+
 TEST(EnginePipeline, DestructorDrainsInFlightJobs) {
   std::atomic<int> ran{0};
   ThreadPool pool(2, 8);
   {
-    ParallelBlockPipeline<int> pipeline(pool, 8);
+    ParallelBlockPipeline<int> pipeline(&pool, 8);
     for (int i = 0; i < 8; ++i) {
       pipeline.submit([&ran, i] {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -344,6 +365,22 @@ TEST_F(ParallelSenderTest, SingleWorkerDelegatesToSerialPath) {
   EXPECT_FALSE(sender.sender().registry().frozen());
   adaptive::AdaptiveReceiver receiver(duplex_->b());
   EXPECT_EQ(receiver.receive_available(), data);
+}
+
+TEST_F(ParallelSenderTest, PoolStartsOnFirstMultiWorkerSend) {
+  obs::Gauge& workers =
+      obs::MetricsRegistry::global().gauge("acex.engine.workers");
+  const std::int64_t before = workers.value();
+  wire();
+  {
+    adaptive::AdaptiveSender sender(duplex_->a(), engine_config(4));
+    EXPECT_EQ(workers.value(), before) << "construction spawned threads";
+    sender.send_all(mixed_workload(8, 4096));
+    EXPECT_EQ(workers.value(), before + 4);
+    sender.send_all(mixed_workload(8, 4096));  // reuses the same pool
+    EXPECT_EQ(workers.value(), before + 4);
+  }
+  EXPECT_EQ(workers.value(), before);
 }
 
 TEST_F(ParallelSenderTest, ParallelPayloadMatchesSerialByteForByte) {

@@ -509,6 +509,7 @@ TEST_F(FaultTest, PipelinedSendDegradesSafely) {
   wire(100e3);
   adaptive::AdaptiveConfig config = small_blocks();
   config.target_rate_Bps = 1e12;
+  config.worker_threads = 2;  // encodes overlap the send
   adaptive::AdaptiveSender sender(duplex_->a(), config);
   sender.registry().register_factory(
       MethodId::kBurrowsWheeler, [] { return CodecPtr(new ThrowingCodec); });
@@ -516,7 +517,7 @@ TEST_F(FaultTest, PipelinedSendDegradesSafely) {
                                 {adaptive::RecoveryPolicy::kSkip, 3});
 
   const Bytes data = testdata::repetitive_text(8 * 4096, 24);
-  const adaptive::StreamReport report = sender.send_all_pipelined(data);
+  const adaptive::StreamReport report = sender.send_all(data);
   ASSERT_EQ(report.blocks.size(), 8u);
   EXPECT_GE(sender.degradation().codec_failures, 3u);
   EXPECT_GE(sender.degradation().quarantines, 1u);

@@ -14,7 +14,6 @@
 
 #include "adaptive/pipeline.hpp"
 #include "adaptive/telemetry.hpp"
-#include "engine/parallel_sender.hpp"
 #include "netsim/link.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -572,7 +571,7 @@ TEST(ObsEndToEnd, EightWorkerStreamMatchesTransportCountersExactly) {
   config.worker_threads = 8;
   config.retransmit_capacity = 64;
   config.retransmit_max_retries = 4;
-  engine::ParallelSender sender(lossy, config);
+  adaptive::AdaptiveSender sender(lossy, config);
   adaptive::AdaptiveReceiver rx(duplex.b(),
                                 {adaptive::RecoveryPolicy::kNack, 4});
 
@@ -597,7 +596,7 @@ TEST(ObsEndToEnd, EightWorkerStreamMatchesTransportCountersExactly) {
     const std::vector<std::uint64_t> nacks = rx.take_nacks();
     if (nacks.empty()) break;
     nacks_issued += nacks.size();
-    sender.sender().retransmit(nacks);
+    sender.retransmit(nacks);
     lossy.flush();
     absorb(rx.receive_report());
   }

@@ -1,5 +1,5 @@
 // Tests for the rate-limited transport decorator and the pipelined
-// (compress-ahead) sender mode over real sockets.
+// (compress-ahead, 2 encode workers) sender over real sockets.
 
 #include <gtest/gtest.h>
 
@@ -85,8 +85,9 @@ TEST(PipelinedSender, RoundTripsOverSockets) {
   std::thread sender_thread([&client, &data] {
     adaptive::AdaptiveConfig config;
     config.initial_bandwidth_Bps = 1e6;  // pessimistic: will compress
+    config.worker_threads = 2;           // compress ahead of the send
     adaptive::AdaptiveSender sender(client, config);
-    const auto report = sender.send_all_pipelined(data);
+    const auto report = sender.send_all(data);
     EXPECT_EQ(report.original_bytes, data.size());
     EXPECT_EQ(report.blocks.size(), 17u);
     // Indices must be sequential despite the overlap.
@@ -104,8 +105,10 @@ TEST(PipelinedSender, RoundTripsOverSockets) {
 
 TEST(PipelinedSender, EmptyInputYieldsEmptyReport) {
   auto [client, server] = transport::socket_pair();
-  adaptive::AdaptiveSender sender(client);
-  const auto report = sender.send_all_pipelined(Bytes{});
+  adaptive::AdaptiveConfig config;
+  config.worker_threads = 2;
+  adaptive::AdaptiveSender sender(client, config);
+  const auto report = sender.send_all(Bytes{});
   EXPECT_TRUE(report.blocks.empty());
   EXPECT_EQ(report.total_seconds, 0.0);
 }
@@ -126,9 +129,9 @@ TEST(PipelinedSender, OverlapsCompressionWithThrottledSend) {
     });
     adaptive::AdaptiveConfig config;
     config.initial_bandwidth_Bps = 1.5e6;
+    config.worker_threads = pipelined ? 2 : 1;
     adaptive::AdaptiveSender sender(limited, config);
-    const auto report = pipelined ? sender.send_all_pipelined(data)
-                                  : sender.send_all(data);
+    const auto report = sender.send_all(data);
     client.shutdown_send();
     drain.join();
     return report.total_seconds;

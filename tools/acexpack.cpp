@@ -25,6 +25,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,22 +170,21 @@ int cmd_compress(const std::string& method_arg, std::size_t block_size,
     };
   };
 
+  // One worker runs every job inline on this thread (no pool).
   const std::size_t workers = engine::resolve_worker_threads(jobs);
-  if (workers <= 1) {
-    for (const ByteView block : blocks) emit(job_for(block)());
-  } else {
-    engine::ThreadPool pool(workers);
-    engine::ParallelBlockPipeline<PackResult> pipeline(pool, 2 * workers);
-    for (const ByteView block : blocks) {
-      while (pipeline.in_flight() >= pipeline.window_capacity()) {
-        emit(pipeline.collect());
-      }
-      pipeline.submit(job_for(block));
-      PackResult ready;
-      while (pipeline.try_collect(ready)) emit(std::move(ready));
+  std::optional<engine::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  engine::ParallelBlockPipeline<PackResult> pipeline(pool ? &*pool : nullptr,
+                                                     2 * workers);
+  for (const ByteView block : blocks) {
+    while (pipeline.in_flight() >= pipeline.window_capacity()) {
+      emit(pipeline.collect());
     }
-    while (pipeline.in_flight() > 0) emit(pipeline.collect());
+    pipeline.submit(job_for(block));
+    PackResult ready;
+    while (pipeline.try_collect(ready)) emit(std::move(ready));
   }
+  while (pipeline.in_flight() > 0) emit(pipeline.collect());
 
   write_file(output, out);
   std::printf("%s: %zu -> %zu bytes (%.1f %%)\n", output.c_str(), data.size(),
