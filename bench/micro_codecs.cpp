@@ -45,8 +45,8 @@ void BM_Decompress(benchmark::State& state, MethodId method,
                           static_cast<std::int64_t>(data.size()));
 }
 
-void BM_BwtForward(benchmark::State& state) {
-  const ByteView block = ByteView(commercial()).subspan(0, 128 * 1024);
+void BM_BwtForward(benchmark::State& state, std::size_t bytes) {
+  const ByteView block = ByteView(commercial()).subspan(0, bytes);
   for (auto _ : state) {
     benchmark::DoNotOptimize(bwt::forward(block));
   }
@@ -97,7 +97,12 @@ int main(int argc, char** argv) {
         ("decompress/" + name + "/commercial").c_str(), BM_Decompress, m,
         commercial());
   }
-  benchmark::RegisterBenchmark("stage/bwt_forward_128K", BM_BwtForward);
+  // 16 KiB is the block size shm_fanout and acexd ship; 128 KiB is the
+  // codec's default chunk.
+  benchmark::RegisterBenchmark("stage/bwt_forward_16K", BM_BwtForward,
+                               std::size_t{16 * 1024});
+  benchmark::RegisterBenchmark("stage/bwt_forward_128K", BM_BwtForward,
+                               std::size_t{128 * 1024});
   benchmark::RegisterBenchmark("stage/bwt_inverse_128K", BM_BwtInverse);
   benchmark::RegisterBenchmark("stage/mtf_encode_128K", BM_MtfEncode);
   benchmark::RegisterBenchmark("stage/rle_encode_128K", BM_RleEncode);

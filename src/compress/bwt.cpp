@@ -1,8 +1,8 @@
 #include "compress/bwt.hpp"
 
-#include <algorithm>
 #include <array>
-#include <numeric>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -20,50 +20,62 @@ Transformed forward(ByteView block) {
   }
 
   // Prefix doubling over cyclic rotations with radix (counting) sorts:
-  // after round k, `rank[i]` orders rotations by their first 2^k
-  // characters. O(n log n) total — this is the codec's hot loop.
-  std::vector<std::uint32_t> idx(n), rank(n), next_rank(n), shifted(n);
-  std::vector<std::uint32_t> counts(std::max<std::size_t>(n, 256) + 1, 0);
+  // after the round for step k, `rank[i]` orders rotation i by its first 2k
+  // characters (dense ranks) and `head[r]` is the first slot of rank r in
+  // `idx`. O(n log n) total — this is the codec's hot loop.
+  // One uninitialised allocation for all five arrays: every slot is written
+  // before it is read, and a single block keeps repeated calls from paying
+  // fresh page faults for five large buffers each time.
+  const auto len = static_cast<std::uint32_t>(n);
+  const auto storage = std::make_unique_for_overwrite<std::uint32_t[]>(5 * n);
+  std::uint32_t* idx = storage.get();
+  std::uint32_t* sorted = idx + n;
+  std::uint32_t* rank = sorted + n;
+  std::uint32_t* next_rank = rank + n;
+  std::uint32_t* head = next_rank + n;
 
   // Round 0: counting sort by first character.
+  std::array<std::uint32_t, 257> counts{};
   for (std::size_t i = 0; i < n; ++i) ++counts[block[i] + 1];
   for (std::size_t c = 1; c <= 256; ++c) counts[c] += counts[c - 1];
-  for (std::size_t i = 0; i < n; ++i) {
-    idx[counts[block[i]]++] = static_cast<std::uint32_t>(i);
-  }
-  rank[idx[0]] = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    rank[idx[i]] = rank[idx[i - 1]] + (block[idx[i]] != block[idx[i - 1]]);
+  for (std::uint32_t i = 0; i < len; ++i) idx[counts[block[i]]++] = i;
+  std::uint32_t classes = 0;
+  for (std::uint32_t j = 0; j < len; ++j) {
+    if (j == 0 || block[idx[j]] != block[idx[j - 1]]) head[classes++] = j;
+    rank[idx[j]] = classes - 1;
   }
 
-  for (std::size_t k = 1; rank[idx[n - 1]] != n - 1 && k < n; k <<= 1) {
+  for (std::uint32_t k = 1; classes < len && k < len; k <<= 1) {
     // Sorting pairs (rank[i], rank[(i+k) mod n]). `idx` is sorted by rank;
-    // shifting every position back by k yields the order sorted by the
-    // SECOND pair element, so one stable counting sort by the first
-    // element finishes the job.
-    for (std::size_t j = 0; j < n; ++j) {
-      shifted[j] = (idx[j] + static_cast<std::uint32_t>(n) -
-                    static_cast<std::uint32_t>(k % n)) %
-                   static_cast<std::uint32_t>(n);
+    // stepping every position back by k yields the order sorted by the
+    // SECOND pair element, so one stable counting sort by the first element
+    // (its buckets start at `head`) finishes the job. k < n, so each wrap
+    // is one compare-and-subtract.
+    for (std::uint32_t j = 0; j < len; ++j) {
+      const std::uint32_t i = idx[j] >= k ? idx[j] - k : idx[j] + (len - k);
+      sorted[head[rank[i]]++] = i;
     }
-    const std::size_t classes = rank[idx[n - 1]] + 1;
-    std::fill(counts.begin(), counts.begin() + classes + 1, 0u);
-    for (std::size_t i = 0; i < n; ++i) ++counts[rank[i] + 1];
-    for (std::size_t c = 1; c <= classes; ++c) counts[c] += counts[c - 1];
-    for (std::size_t j = 0; j < n; ++j) {
-      idx[counts[rank[shifted[j]]]++] = shifted[j];
+    std::swap(idx, sorted);
+    // Re-rank by (first, second) pair equality, carrying the previous pair.
+    // The scatter left `head` holding bucket ends, so it is rebuilt in
+    // place; classes <= j, so the unconditional store stays in bounds and
+    // is kept only where a new class starts (no data-dependent branch).
+    std::uint32_t prev_first = 0;
+    std::uint32_t prev_second = 0;
+    classes = 0;
+    for (std::uint32_t j = 0; j < len; ++j) {
+      const std::uint32_t i = idx[j];
+      const std::uint32_t first = rank[i];
+      const std::uint32_t second = rank[i >= len - k ? i - (len - k) : i + k];
+      const bool starts = (j == 0) | (first != prev_first) |
+                          (second != prev_second);
+      head[classes] = j;
+      classes += starts;
+      next_rank[i] = classes - 1;
+      prev_first = first;
+      prev_second = second;
     }
-    // Re-rank by (first, second) pair equality.
-    const auto second = [&](std::uint32_t i) {
-      return rank[(i + k) % n];
-    };
-    next_rank[idx[0]] = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      const bool differs = rank[idx[i]] != rank[idx[i - 1]] ||
-                           second(idx[i]) != second(idx[i - 1]);
-      next_rank[idx[i]] = next_rank[idx[i - 1]] + differs;
-    }
-    rank.swap(next_rank);
+    std::swap(rank, next_rank);
   }
 
   result.last_column.resize(n);

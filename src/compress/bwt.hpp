@@ -18,8 +18,14 @@ struct Transformed {
 /// Forward BWT over all cyclic rotations of `block` (§2.4 step 1).
 ///
 /// Rotation order is established with prefix doubling (Manber–Myers on the
-/// cyclic string): O(n log^2 n) with std::sort — deliberately the "slow,
-/// strong" method of the paper; its cost is what Figs. 3/4 measure.
+/// cyclic string): each round is one stable counting sort, O(n) per round
+/// and O(n log n) overall. It is still the "slow, strong" method of the
+/// paper; its cost is what Figs. 3/4 measure.
+///
+/// Equal rotations (a periodic block, e.g. "abab") keep the fixed relative
+/// order this sequence of stable sorts leaves them in. That order picks
+/// `primary` and the last column, so it is part of the wire format: a
+/// different sort must reproduce it exactly.
 Transformed forward(ByteView block);
 
 /// Inverse BWT via LF-mapping (counting sort + backwards walk), O(n).

@@ -1,8 +1,6 @@
 #include "compress/bwt_codec.hpp"
 
 #include <array>
-#include <atomic>
-#include <future>
 
 #include "compress/bwt.hpp"
 #include "compress/huffman.hpp"
@@ -63,59 +61,25 @@ Bytes parse_chunk(ByteView staged, std::size_t* pos) {
 
 }  // namespace
 
-BurrowsWheelerCodec::BurrowsWheelerCodec(std::size_t chunk_size,
-                                         unsigned parallelism)
-    : chunk_size_(chunk_size), parallelism_(parallelism) {
+BurrowsWheelerCodec::BurrowsWheelerCodec(std::size_t chunk_size)
+    : chunk_size_(chunk_size) {
   if (chunk_size < 64 || chunk_size > (std::size_t{1} << 20)) {
     throw ConfigError("bwt: chunk_size must be in [64, 1 MiB]");
-  }
-  if (parallelism == 0 || parallelism > 64) {
-    throw ConfigError("bwt: parallelism must be in [1, 64]");
   }
 }
 
 Bytes BurrowsWheelerCodec::stage_chunks(ByteView input) const {
-  // Each chunk's pipeline is independent; produce the staged body of every
-  // chunk (header + RLE stream, sans sentinel), optionally in parallel.
-  const std::size_t chunk_count =
-      (input.size() + chunk_size_ - 1) / chunk_size_;
-  const auto stage_one = [&](std::size_t index) {
-    const std::size_t off = index * chunk_size_;
+  // Each chunk goes through its own BWT -> MTF -> RLE pipeline and is staged
+  // as header + RLE stream + sentinel.
+  Bytes staged;
+  staged.reserve(input.size() + input.size() / 16 + 16);
+  for (std::size_t off = 0; off < input.size(); off += chunk_size_) {
     const std::size_t len = std::min(chunk_size_, input.size() - off);
     const auto transformed = bwt::forward(input.subspan(off, len));
     const Bytes rle_stream = rle::encode(mtf::encode(transformed.last_column));
-    Bytes body;
-    body.reserve(rle_stream.size() + 8);
-    put_b128(body, static_cast<std::uint32_t>(len));
-    put_b128(body, transformed.primary);
-    body.insert(body.end(), rle_stream.begin(), rle_stream.end());
-    return body;
-  };
-
-  std::vector<Bytes> bodies(chunk_count);
-  if (parallelism_ <= 1 || chunk_count <= 1) {
-    for (std::size_t i = 0; i < chunk_count; ++i) bodies[i] = stage_one(i);
-  } else {
-    std::vector<std::future<void>> workers;
-    std::atomic<std::size_t> next{0};
-    const unsigned lanes =
-        std::min<unsigned>(parallelism_, static_cast<unsigned>(chunk_count));
-    workers.reserve(lanes);
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      workers.push_back(std::async(std::launch::async, [&] {
-        for (std::size_t i = next.fetch_add(1); i < chunk_count;
-             i = next.fetch_add(1)) {
-          bodies[i] = stage_one(i);
-        }
-      }));
-    }
-    for (auto& w : workers) w.get();
-  }
-
-  Bytes staged;
-  staged.reserve(input.size() + input.size() / 16 + 16);
-  for (const auto& body : bodies) {
-    staged.insert(staged.end(), body.begin(), body.end());
+    put_b128(staged, static_cast<std::uint32_t>(len));
+    put_b128(staged, transformed.primary);
+    staged.insert(staged.end(), rle_stream.begin(), rle_stream.end());
     staged.push_back(kSentinel);
   }
   return staged;
@@ -163,50 +127,12 @@ Bytes BurrowsWheelerCodec::decompress(ByteView input) {
   HuffmanCodec huffman;
   const Bytes staged = huffman.decompress(input.subspan(pos));
 
-  // Chunk boundaries are the sentinels, so the per-chunk inverse pipelines
-  // can run independently (and in parallel when configured).
-  std::vector<std::pair<std::size_t, std::size_t>> spans;  // [begin, end)
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    if (staged[i] == kSentinel) {
-      spans.emplace_back(begin, i + 1);
-      begin = i + 1;
-    }
-  }
-  if (begin != staged.size()) {
-    throw DecodeError("bwt: missing chunk sentinel");
-  }
-
-  std::vector<Bytes> chunks(spans.size());
-  const auto decode_one = [&](std::size_t index) {
-    std::size_t spos = spans[index].first;
-    chunks[index] = parse_chunk(staged, &spos);
-    if (spos != spans[index].second) {
-      throw DecodeError("bwt: chunk parse overrun");
-    }
-  };
-  if (parallelism_ <= 1 || spans.size() <= 1) {
-    for (std::size_t i = 0; i < spans.size(); ++i) decode_one(i);
-  } else {
-    std::vector<std::future<void>> workers;
-    std::atomic<std::size_t> next{0};
-    const unsigned lanes = std::min<unsigned>(
-        parallelism_, static_cast<unsigned>(spans.size()));
-    workers.reserve(lanes);
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      workers.push_back(std::async(std::launch::async, [&] {
-        for (std::size_t i = next.fetch_add(1); i < spans.size();
-             i = next.fetch_add(1)) {
-          decode_one(i);
-        }
-      }));
-    }
-    for (auto& w : workers) w.get();  // rethrows any DecodeError
-  }
-
+  // Chunk boundaries are the sentinels; each chunk inverts independently.
   Bytes out;
   out.reserve(size);
-  for (const auto& chunk : chunks) {
+  std::size_t spos = 0;
+  while (spos < staged.size()) {
+    const Bytes chunk = parse_chunk(staged, &spos);
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
   if (out.size() != size) throw DecodeError("bwt: reassembled size mismatch");

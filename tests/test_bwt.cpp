@@ -1,16 +1,84 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "compress/bwt.hpp"
 #include "compress/bwt_codec.hpp"
 #include "compress/lz77.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "testdata.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/varint.hpp"
+#include "workloads/transactions.hpp"
 
 namespace acex {
 namespace {
+
+/// Reference forward transform: the original modulo prefix doubling, kept
+/// verbatim so the production sort can be checked against it bit for bit.
+/// Equal rotations must come out in the same order, which this sequence of
+/// stable counting sorts fixes.
+bwt::Transformed reference_forward(ByteView block) {
+  const std::size_t n = block.size();
+  bwt::Transformed result;
+  if (n == 0) return result;
+  if (n == 1) {
+    result.last_column.assign(block.begin(), block.end());
+    return result;
+  }
+  std::vector<std::uint32_t> idx(n), rank(n), next_rank(n), shifted(n);
+  std::vector<std::uint32_t> counts(std::max<std::size_t>(n, 256) + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++counts[block[i] + 1];
+  for (std::size_t c = 1; c <= 256; ++c) counts[c] += counts[c - 1];
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[counts[block[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  rank[idx[0]] = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    rank[idx[i]] = rank[idx[i - 1]] + (block[idx[i]] != block[idx[i - 1]]);
+  }
+  for (std::size_t k = 1; rank[idx[n - 1]] != n - 1 && k < n; k <<= 1) {
+    for (std::size_t j = 0; j < n; ++j) {
+      shifted[j] = (idx[j] + static_cast<std::uint32_t>(n) -
+                    static_cast<std::uint32_t>(k % n)) %
+                   static_cast<std::uint32_t>(n);
+    }
+    const std::size_t classes = rank[idx[n - 1]] + 1;
+    std::fill(counts.begin(), counts.begin() + classes + 1, 0u);
+    for (std::size_t i = 0; i < n; ++i) ++counts[rank[i] + 1];
+    for (std::size_t c = 1; c <= classes; ++c) counts[c] += counts[c - 1];
+    for (std::size_t j = 0; j < n; ++j) {
+      idx[counts[rank[shifted[j]]]++] = shifted[j];
+    }
+    const auto second = [&](std::uint32_t i) { return rank[(i + k) % n]; };
+    next_rank[idx[0]] = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      const bool differs = rank[idx[i]] != rank[idx[i - 1]] ||
+                           second(idx[i]) != second(idx[i - 1]);
+      next_rank[idx[i]] = next_rank[idx[i - 1]] + differs;
+    }
+    rank.swap(next_rank);
+  }
+  result.last_column.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t start = idx[i];
+    result.last_column[i] = block[start == 0 ? n - 1 : start - 1];
+    if (start == 0) result.primary = static_cast<std::uint32_t>(i);
+  }
+  return result;
+}
+
+/// Asserts `bwt::forward` matches the reference exactly on `block`.
+void expect_matches_reference(const Bytes& block, const std::string& what) {
+  const auto got = bwt::forward(block);
+  const auto want = reference_forward(block);
+  EXPECT_EQ(got.primary, want.primary) << what;
+  EXPECT_TRUE(got.last_column == want.last_column) << what;
+}
 
 // -------------------------------------------------------------- transform
 
@@ -63,6 +131,59 @@ TEST(BwtTransform, PeriodicInputsRoundTrip) {
     const auto t = bwt::forward(data);
     EXPECT_EQ(bwt::inverse(t.last_column, t.primary), data) << s;
   }
+}
+
+TEST(BwtTransform, MatchesReferenceOnAllPatterns) {
+  for (const auto& pattern : testdata::patterns()) {
+    for (const std::size_t size :
+         {2u, 3u, 64u, 1000u, 4097u, 16384u, 65536u}) {
+      expect_matches_reference(pattern.make(size, 21),
+                               std::string(pattern.name) +
+                                   " size=" + std::to_string(size));
+    }
+  }
+}
+
+TEST(BwtTransform, MatchesReferenceOnRandomSmallAlphabets) {
+  Rng rng(1313);
+  for (const unsigned alphabet : {1u, 2u, 3u, 256u}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      Bytes block(rng.below(300));
+      for (auto& b : block) b = static_cast<std::uint8_t>(rng.below(alphabet));
+      expect_matches_reference(block, "alphabet=" + std::to_string(alphabet) +
+                                          " n=" +
+                                          std::to_string(block.size()));
+    }
+  }
+}
+
+TEST(BwtTransform, MatchesReferenceOnExactlyPeriodicBlocks) {
+  // Periodic blocks are where equal rotations exist, so they pin the order
+  // among ties. Two primitive units per period: distinct bytes, and a run
+  // "aa...ab" whose rotations share long prefixes.
+  for (const std::size_t period : {1u, 2u, 3u, 5u, 7u, 64u}) {
+    Bytes distinct(period), run(period, 'a');
+    for (std::size_t i = 0; i < period; ++i) {
+      distinct[i] = static_cast<std::uint8_t>((i * 37 + 11) % 256);
+    }
+    run.back() = 'b';
+    for (const std::size_t repeats : {2u, 3u, 4u, 5u, 8u, 9u, 100u}) {
+      for (const Bytes* unit : {&distinct, &run}) {
+        Bytes block;
+        for (std::size_t r = 0; r < repeats; ++r) {
+          block.insert(block.end(), unit->begin(), unit->end());
+        }
+        expect_matches_reference(block,
+                                 "period=" + std::to_string(period) +
+                                     " repeats=" + std::to_string(repeats) +
+                                     (unit == &run ? " run" : " distinct"));
+      }
+    }
+  }
+}
+
+TEST(BwtTransform, MatchesReferenceOnAllZeroBlock) {
+  expect_matches_reference(Bytes(128 * 1024, 0), "zeros 128K");
 }
 
 TEST(BwtTransform, InverseRejectsBadPrimary) {
@@ -237,6 +358,27 @@ TEST(BurrowsWheelerCodec, TruncatedInputThrows) {
   Bytes packed = codec.compress(testdata::repetitive_text(8192, 11));
   packed.resize(packed.size() / 2);
   EXPECT_THROW(codec.decompress(packed), DecodeError);
+}
+
+TEST(BurrowsWheelerCodec, CorruptionThrowsOrStaysBounded) {
+  BurrowsWheelerCodec codec(4096);
+  Bytes packed = codec.compress(testdata::repetitive_text(100000, 8));
+  packed[packed.size() / 2] ^= 0x40;
+  try {
+    const Bytes out = codec.decompress(packed);
+    EXPECT_LE(out.size(), 200000u);  // garbage tolerated, crash not
+  } catch (const Error&) {
+    // expected on most corruptions
+  }
+}
+
+TEST(BurrowsWheelerCodec, WireBytesPinnedOnCommercialBlock) {
+  // Any change to the rotation sort, MTF, RLE or the joint Huffman stage
+  // that moves a single wire byte shows up here.
+  const Bytes block = workloads::TransactionGenerator(2004).text_block(16384);
+  const Bytes packed = BurrowsWheelerCodec().compress(block);
+  EXPECT_EQ(packed.size(), 3865u);
+  EXPECT_EQ(crc32(packed), 0x75CFFEC9u);
 }
 
 TEST(BurrowsWheelerCodec, RecoverFromBitFindsTailChunks) {

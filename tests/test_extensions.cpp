@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "adaptive/echo_integration.hpp"
-#include "compress/bwt_codec.hpp"
 #include "compress/frame.hpp"
 #include "compress/quant_codec.hpp"
 #include "echo/bus.hpp"
@@ -233,48 +232,6 @@ TEST(DerivedChannelSwitcher, DestructorCleansUp) {
   }
   EXPECT_EQ(bus.channel_count(), 1u);
   EXPECT_EQ(bus.channel(source).subscriber_count(), 0u);
-}
-
-// ------------------------------------------------------- parallel chunks
-
-TEST(ParallelBwt, SameWireFormatAsSerial) {
-  const Bytes data = testdata::repetitive_text(300000, 5);
-  BurrowsWheelerCodec serial(16 * 1024, 1);
-  BurrowsWheelerCodec parallel(16 * 1024, 4);
-  EXPECT_EQ(serial.compress(data), parallel.compress(data));
-}
-
-TEST(ParallelBwt, CrossDecoding) {
-  const Bytes data = testdata::low_entropy(200000, 6);
-  BurrowsWheelerCodec serial(8 * 1024, 1);
-  BurrowsWheelerCodec parallel(8 * 1024, 8);
-  EXPECT_EQ(parallel.decompress(serial.compress(data)), data);
-  EXPECT_EQ(serial.decompress(parallel.compress(data)), data);
-}
-
-TEST(ParallelBwt, AllPatternsRoundTrip) {
-  BurrowsWheelerCodec codec(4096, 4);
-  for (const auto& pattern : testdata::patterns()) {
-    const Bytes data = pattern.make(50000, 7);
-    EXPECT_EQ(codec.decompress(codec.compress(data)), data) << pattern.name;
-  }
-}
-
-TEST(ParallelBwt, CorruptionStillThrowsAcrossWorkers) {
-  BurrowsWheelerCodec codec(4096, 4);
-  Bytes packed = codec.compress(testdata::repetitive_text(100000, 8));
-  packed[packed.size() / 2] ^= 0x40;
-  try {
-    const Bytes out = codec.decompress(packed);
-    EXPECT_LE(out.size(), 200000u);  // garbage tolerated, crash not
-  } catch (const Error&) {
-    // expected on most corruptions
-  }
-}
-
-TEST(ParallelBwt, RejectsBadParallelism) {
-  EXPECT_THROW(BurrowsWheelerCodec(4096, 0), ConfigError);
-  EXPECT_THROW(BurrowsWheelerCodec(4096, 65), ConfigError);
 }
 
 // ----------------------------------------------------------- packet pair
