@@ -1,15 +1,18 @@
 // google-benchmark microbenches: per-codec compress/decompress throughput
-// on the two paper datasets plus the BWT/MTF/RLE pipeline stages. These
+// on the two paper datasets, the BWT/MTF/RLE pipeline stages and the
+// per-block fixed costs (frame CRC, §2.5 sample). These
 // are the steady-state numbers behind Figs. 3 and 4 with benchmark-grade
 // statistics (run with --benchmark_repetitions=... for confidence
 // intervals).
 
 #include <benchmark/benchmark.h>
 
+#include "adaptive/sampler.hpp"
 #include "bench_common.hpp"
 #include "compress/bwt.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -82,6 +85,25 @@ void BM_RleEncode(benchmark::State& state) {
                           static_cast<std::int64_t>(m.size()));
 }
 
+void BM_Crc32(benchmark::State& state, std::size_t bytes) {
+  const ByteView block = ByteView(commercial()).subspan(0, bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(block));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+
+void BM_Sample(benchmark::State& state, std::size_t bytes) {
+  const adaptive::Sampler sampler(bytes);
+  const ByteView block = ByteView(commercial()).subspan(0, bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.sample(block));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,6 +128,11 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("stage/bwt_inverse_128K", BM_BwtInverse);
   benchmark::RegisterBenchmark("stage/mtf_encode_128K", BM_MtfEncode);
   benchmark::RegisterBenchmark("stage/rle_encode_128K", BM_RleEncode);
+  // Per-block fixed costs: every frame's CRC, and the paper's 4 KiB sample.
+  benchmark::RegisterBenchmark("stage/crc32_16K", BM_Crc32,
+                               std::size_t{16 * 1024});
+  benchmark::RegisterBenchmark("stage/sample_4K", BM_Sample,
+                               std::size_t{4 * 1024});
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -311,9 +311,10 @@ class AdaptiveSender {
   BlockPlan plan_block_fixed(ByteView block, MethodId method);
 
   /// plan_block() with an externally supplied sample. The fan-out broker
-  /// samples each published block ONCE and shares the result across every
-  /// subscriber's plan — the sampled ratio is a property of the data, not
-  /// of any one link, so per-subscriber sampling would only burn CPU.
+  /// samples each distinct chunk prefix of a publish ONCE and shares the
+  /// result across every subscriber's plan — the sampled ratio is a
+  /// property of the data, not of any one link, so per-subscriber
+  /// sampling would only burn CPU.
   /// Feeds the same drift-tracking EWMA as plan_block(); never launches
   /// the async sampler.
   BlockPlan plan_block_sampled(ByteView block, const SampleResult& sample);

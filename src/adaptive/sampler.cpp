@@ -14,7 +14,12 @@ SampleResult run_sample(ByteView prefix) {
 
   // Sub-millisecond one-shot timings of a 4 KiB compression are dominated
   // by cache state and timer noise; take the fastest of three runs, the
-  // standard microbenchmark estimator of attainable speed.
+  // standard microbenchmark estimator of attainable speed. The sender
+  // smooths what it gets (an EWMA(0.4) of the reducing speed, and only the
+  // ratio of two smoothed speeds corrects block-level LZ drift), but its
+  // very first LZ estimate is the first sample alone. A single pass reads
+  // ~15-20 % slower in the median and flips early-block decisions, so the
+  // three passes stay until a cheaper estimator of the same speed exists.
   MonotonicClock clock;
   LempelZivCodec lz;
   Bytes packed;

@@ -14,7 +14,7 @@ struct SampleResult {
   double ratio_percent = 100.0;  ///< compressed/original of the sample
   double reducing_speed = 0.0;   ///< bytes removed per second, 0 if none
   double throughput = 0.0;       ///< sample bytes consumed per second
-  Seconds elapsed = 0.0;         ///< CPU time the sampling itself took
+  Seconds elapsed = 0.0;         ///< fastest LZ pass, monotonic wall time
   std::size_t sample_bytes = 0;
 };
 

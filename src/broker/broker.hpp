@@ -74,6 +74,7 @@ struct SubscriberMemory {
 /// the number of distinct chosen methods — NOT the subscriber count.
 struct BrokerStats {
   std::uint64_t blocks = 0;        ///< publish() calls
+  std::uint64_t samples = 0;       ///< sampler runs (distinct chunk prefixes)
   std::uint64_t encodes = 0;       ///< actual codec runs (== cache_misses)
   std::uint64_t cache_hits = 0;    ///< subscriber frames served from cache
   std::uint64_t cache_misses = 0;  ///< one per (block, method) group
@@ -88,8 +89,11 @@ struct BrokerConfig {
   std::size_t worker_threads = 1;
   /// Task-queue capacity of the encode pool; 0 = ThreadPool default.
   std::size_t queue_capacity = 0;
-  /// Shared sampler prefix (the paper's 4 KiB): each published block is
-  /// sampled ONCE and the result feeds every subscriber's plan.
+  /// Shared sampler prefix (the paper's 4 KiB). Each distinct chunk prefix
+  /// of a publish is sampled once and the result feeds the plan of every
+  /// subscriber whose chunk starts there: one sample per publish when
+  /// block sizes are uniform, one per distinct chunk offset when a
+  /// subscriber's smaller block_size re-chunks it.
   std::size_t sample_prefix = 4 * 1024;
   /// Frame staging hook. When set, the broker builds each shared frame by
   /// calling this instead of frame_build_seq + heap copy — the shm
@@ -243,9 +247,11 @@ class FanoutBroker {
   std::size_t pump_locked_free(const SubscriberPtr& sub,
                                std::size_t max_frames);
   /// One publish pass over `subs` with a chunk every member's block_size
-  /// can carry: shared sample, per-subscriber plan, grouped encode, frame
-  /// + finish. The body of publish(), minus the re-chunking.
-  void publish_chunk(ByteView block, const std::vector<SubscriberPtr>& subs);
+  /// can carry: per-subscriber plan from the shared `sample`, grouped
+  /// encode, frame + finish. The body of publish(), minus the re-chunking
+  /// and the sampling.
+  void publish_chunk(ByteView block, const adaptive::SampleResult& sample,
+                     const std::vector<SubscriberPtr>& subs);
 
   BrokerConfig config_;
   CodecRegistry registry_ = CodecRegistry::with_builtins();

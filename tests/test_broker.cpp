@@ -145,6 +145,77 @@ TEST(BrokerGroups, HeterogeneousLinksFormMethodGroups) {
   EXPECT_EQ(stats.cache_hits, 2u);
 }
 
+TEST(BrokerGroups, OneSamplePerDistinctChunkPrefix) {
+  VirtualClock clock;
+  // The acexd mix: negotiated block sizes 16/8/16/4 KiB re-chunk one
+  // 16 KiB publish into 7 pieces, but only 4 distinct prefixes (offsets
+  // 0, 4, 8 and 12 KiB).
+  const std::size_t kSizes[] = {16 * 1024, 8 * 1024, 16 * 1024, 4 * 1024};
+  std::vector<std::unique_ptr<SimEndpoint>> endpoints;
+  FanoutBroker broker;
+  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
+    endpoints.push_back(std::make_unique<SimEndpoint>(clock, 1e6, 30 + i));
+    SubscriberConfig config;
+    config.adaptive.decision.block_size = kSizes[i];
+    // A crawling link: compression always pays, so the sampled ratio
+    // alone picks the method (LZ/BW below the ratio cut, Huffman above).
+    config.adaptive.initial_bandwidth_Bps = 1e3;
+    broker.subscribe(endpoints.back()->duplex.a(), config);
+  }
+
+  // Quarters alternate between repetitive (zeros) and skewed-but-
+  // unstructured bytes, so a sample taken at the wrong offset picks the
+  // other method and shows on the wire.
+  Bytes block;
+  for (int q = 0; q < 4; ++q) {
+    const Bytes part = q % 2 == 0 ? testdata::zeros(4 * 1024, 0)
+                                  : compressible_block(4 * 1024, q);
+    block.insert(block.end(), part.begin(), part.end());
+  }
+  broker.publish(block);
+  EXPECT_EQ(broker.stats().samples, 4u);
+  broker.pump_all();
+
+  // Each subscriber's frames carry the method that Sampler().sample() of
+  // its own chunk calls for.
+  const adaptive::Sampler sampler;
+  const double cut = adaptive::DecisionParams{}.ratio_cut_percent;
+  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
+    std::vector<bool> expect_lz_family;
+    for (std::size_t off = 0; off < block.size(); off += kSizes[i]) {
+      expect_lz_family.push_back(
+          sampler.sample(ByteView(block).subspan(off, kSizes[i]))
+              .ratio_percent < cut);
+    }
+    if (kSizes[i] == 4 * 1024) {  // the quarters really differ
+      ASSERT_EQ(expect_lz_family,
+                std::vector<bool>({true, false, true, false}));
+    }
+    std::vector<bool> got_lz_family;
+    while (auto wire = endpoints[i]->duplex.b().receive()) {
+      const MethodId method = frame_parse(*wire).method;
+      if (method != MethodId::kHuffman) {
+        EXPECT_TRUE(method == MethodId::kLempelZiv ||
+                    method == MethodId::kBurrowsWheeler)
+            << "subscriber " << i << " method " << static_cast<int>(method);
+      }
+      got_lz_family.push_back(method != MethodId::kHuffman);
+    }
+    EXPECT_EQ(got_lz_family, expect_lz_family) << "subscriber " << i;
+  }
+
+  // Uniform block sizes: one sample per publish, whatever the fan-out.
+  std::vector<std::unique_ptr<SimEndpoint>> uniform_endpoints;
+  FanoutBroker uniform;
+  for (int i = 0; i < 3; ++i) {
+    uniform_endpoints.push_back(
+        std::make_unique<SimEndpoint>(clock, 1e6, 40 + i));
+    uniform.subscribe(uniform_endpoints.back()->duplex.a());
+  }
+  uniform.publish(block);
+  EXPECT_EQ(uniform.stats().samples, 1u);
+}
+
 // --------------------------------------------- shared-encode byte identity
 
 TEST(BrokerCache, SubscribersOnIdenticalLinksReceiveIdenticalBytes) {

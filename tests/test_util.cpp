@@ -201,6 +201,42 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(data), before);
 }
 
+/// Bit-at-a-time CRC-32 straight from the reflected polynomial: no tables,
+/// so it shares nothing with the table-driven implementation it checks.
+std::uint32_t reference_crc32(ByteView data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(2004);
+  const Bytes buffer = rng.bytes(1024 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const ByteView data = ByteView(buffer).subspan(offset, len);
+      const std::uint32_t want = reference_crc32(data);
+      ASSERT_EQ(crc32(data), want) << "offset " << offset << " len " << len;
+      // Split updates must fold to the same state wherever the cut falls;
+      // cuts on and beside 8-byte boundaries guard word-at-a-time loops.
+      for (const std::size_t cut :
+           {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{8},
+            std::size_t{13}, len / 2, len - std::min<std::size_t>(len, 5)}) {
+        if (cut > len) continue;
+        Crc32 inc;
+        inc.update(data.subspan(0, cut));
+        inc.update(data.subspan(cut, (len - cut) / 2));
+        inc.update(data.subspan(cut + (len - cut) / 2));
+        ASSERT_EQ(inc.value(), want)
+            << "offset " << offset << " len " << len << " cut " << cut;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -302,6 +302,10 @@ int run_broker_demo(const Options& opt) {
   check_eq("broker.blocks",
            reg.counter("acex.broker.blocks").value(), bs.blocks, failures);
   check_eq("broker.blocks.truth", bs.blocks, truth.size(), failures);
+  // Uniform block sizes: one shared sample per publish.
+  check_eq("broker.samples",
+           reg.counter("acex.broker.samples").value(), bs.samples, failures);
+  check_eq("broker.samples.truth", bs.samples, truth.size(), failures);
   check_eq("broker.cache.hits",
            reg.counter("acex.broker.encode_cache.hits").value(), bs.cache_hits,
            failures);
