@@ -6,7 +6,8 @@
 // Watch the selector walk through its regimes as the load ramps:
 // no compression -> Lempel-Ziv -> Burrows-Wheeler -> back.
 //
-// Run: ./build/examples/ois_feed
+// Run: ./build/examples/ois_feed  (exits 1 unless the receiver reassembled
+// the feed byte for byte)
 
 #include <cstdio>
 #include <string>
@@ -69,5 +70,5 @@ int main() {
                 static_cast<unsigned long long>(count));
   }
   std::printf("  (wire %.1f %%)\n", dashboard.wire_ratio_percent());
-  return 0;
+  return result.verified ? 0 : 1;
 }

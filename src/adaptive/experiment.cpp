@@ -53,20 +53,18 @@ namespace {
 StreamReport drive_stream(ByteView data, const ExperimentConfig& config,
                           Scenario& scenario,
                           std::optional<MethodId> method) {
-  AdaptiveConfig adaptive = wire_cpu_clock(config.adaptive, scenario.clock);
-  if (!config.context_takeover) {
-    // Same pin a context_takeover=false handshake applies: every block is
-    // planned from a fresh inline sample, never from carried-over state.
-    adaptive.async_sampling = false;
-  }
-  AdaptiveSender sender(scenario.duplex.a(), adaptive);
-  if (config.context_takeover && config.pace <= 0) {
-    return method ? sender.send_all_fixed(data, *method)
-                  : sender.send_all(data);
-  }
+  AdaptiveSender sender(scenario.duplex.a(),
+                        wire_cpu_clock(config.adaptive, scenario.clock));
+  const auto send = [&](ByteView slice) {
+    return method ? sender.send_all_fixed(slice, *method)
+                  : sender.send_all(slice);
+  };
+  if (config.context_takeover && config.pace <= 0) return send(data);
 
+  // Paced or per-block-reset: one send_all per block, so the clock can
+  // move and the adaptation context be dropped between blocks.
   StreamReport stream;
-  const std::size_t block_size = adaptive.decision.block_size;
+  const std::size_t block_size = config.adaptive.decision.block_size;
   std::size_t index = 0;
   for (std::size_t off = 0; off < data.size(); off += block_size, ++index) {
     if (config.pace > 0) {
@@ -74,15 +72,7 @@ StreamReport drive_stream(ByteView data, const ExperimentConfig& config,
     }
     if (!config.context_takeover) sender.reset_adaptation();
     const std::size_t len = std::min(block_size, data.size() - off);
-    const std::size_t next_off = off + len;
-    const ByteView next =
-        next_off < data.size()
-            ? data.subspan(next_off,
-                           std::min(block_size, data.size() - next_off))
-            : ByteView{};
-    stream.blocks.push_back(
-        method ? sender.send_block_fixed(data.subspan(off, len), *method)
-               : sender.send_block(data.subspan(off, len), next));
+    stream.blocks.push_back(send(data.subspan(off, len)).blocks.front());
   }
   stream.finalize();
   return stream;

@@ -31,11 +31,11 @@ struct ExperimentConfig {
   netsim::LinkParams reverse_link = netsim::fast_ethernet_link();
 
   /// When false, the sender's adaptation context (reducing-speed monitor,
-  /// bandwidth estimate, sampler drift) is reset before every block and
-  /// async sampling is pinned off — the per-block-reset streaming variant
-  /// a context_takeover=false handshake implies. Decisions then run every
-  /// block on first-block assumptions; the scenario matrix uses this to
-  /// measure what the carried context is actually worth.
+  /// bandwidth estimate, sampler drift) is reset before every block, and
+  /// each block is planned from an inline sample of itself — the per-
+  /// block-reset streaming variant context_takeover=false names. Decisions
+  /// then run every block on first-block assumptions; the scenario matrix
+  /// uses this to measure what the carried context is actually worth.
   bool context_takeover = true;
 };
 

@@ -195,10 +195,6 @@ AdaptiveSender::AdaptiveSender(transport::Transport& transport,
   if (config_.target_rate_Bps < 0) {
     throw ConfigError("adaptive: target_rate_Bps must be >= 0");
   }
-  if (config_.breaker_failure_threshold <= 0 ||
-      config_.breaker_cooldown_blocks == 0) {
-    throw ConfigError("adaptive: breaker threshold and cooldown must be > 0");
-  }
   ring_ = transport::RetransmitRing(config_.retransmit_capacity,
                                     config_.retransmit_max_retries,
                                     config_.retransmit_max_bytes);
@@ -230,8 +226,8 @@ void AdaptiveSender::note_codec_failure(MethodId method) {
   const bool probe_failed =
       health.probation && blocks_sent_ >= health.quarantined_until;
   if (probe_failed ||
-      ++health.consecutive_failures >= config_.breaker_failure_threshold) {
-    health.quarantined_until = blocks_sent_ + config_.breaker_cooldown_blocks;
+      ++health.consecutive_failures >= kBreakerFailureThreshold) {
+    health.quarantined_until = blocks_sent_ + kBreakerCooldownBlocks;
     health.consecutive_failures = 0;
     health.probation = true;
     ++degradation_.quarantines;
@@ -320,15 +316,6 @@ BlockReport AdaptiveSender::finish_block(const BlockPlan& plan,
   }
   ring_.store(plan.sequence, std::move(encoded.framed));
   return report;
-}
-
-BlockReport AdaptiveSender::transmit_planned(const BlockPlan& plan,
-                                             ByteView block) {
-  return finish_block(plan, block.size(),
-                      encode_block(registry_, block, plan.method,
-                                   plan.sequence,
-                                   config_.expansion_slack_bytes,
-                                   plan.allow_degrade));
 }
 
 std::size_t AdaptiveSender::retransmit(
@@ -585,11 +572,6 @@ BlockPlan AdaptiveSender::plan_block_fixed(ByteView block, MethodId method) {
   return plan;
 }
 
-BlockReport AdaptiveSender::send_block(ByteView block, ByteView next_block) {
-  const BlockPlan plan = plan_block(block, next_block);
-  return transmit_planned(plan, block);
-}
-
 void StreamReport::finalize() noexcept {
   for (const auto& b : blocks) {
     original_bytes += b.original_size;
@@ -600,10 +582,6 @@ void StreamReport::finalize() noexcept {
     total_seconds = blocks.back().delivered - blocks.front().submitted +
                     blocks.front().compress_seconds;
   }
-}
-
-BlockReport AdaptiveSender::send_block_fixed(ByteView block, MethodId method) {
-  return transmit_planned(plan_block_fixed(block, method), block);
 }
 
 StreamReport AdaptiveSender::send_all(ByteView data) {

@@ -21,6 +21,13 @@
 
 namespace acex::adaptive {
 
+/// Circuit breaker of the adaptive path: after kBreakerFailureThreshold
+/// consecutive failures (codec throw or expanded output) of one method, the
+/// method sits out the next kBreakerCooldownBlocks blocks before it may be
+/// tried again.
+inline constexpr int kBreakerFailureThreshold = 3;
+inline constexpr std::size_t kBreakerCooldownBlocks = 16;
+
 /// Configuration of one adaptive stream.
 struct AdaptiveConfig {
   DecisionParams decision;
@@ -59,15 +66,6 @@ struct AdaptiveConfig {
   /// overhead — from masquerading as a failure; it matches the <= 64-byte
   /// tolerance the target-rate experiments assume.
   std::size_t expansion_slack_bytes = 64;
-
-  /// Circuit breaker: after this many consecutive failures (codec throw or
-  /// expanded output) of one method on the adaptive path, the method is
-  /// quarantined.
-  int breaker_failure_threshold = 3;
-
-  /// How many subsequent blocks a quarantined method sits out before it may
-  /// be tried again.
-  std::size_t breaker_cooldown_blocks = 16;
 
   /// How many recent frames the sender keeps for NACK retransmission, and
   /// how often each may be replayed. `retransmit_max_bytes` additionally
@@ -248,16 +246,6 @@ class AdaptiveSender {
   /// The codec registry freezes on the first multi-worker send.
   StreamReport send_all(ByteView data);
 
-  /// Send exactly one block (at most block_size bytes). When `next_block`
-  /// is non-empty and async sampling is on, its 4 KiB prefix is sampled
-  /// concurrently with this block's send — the paper's fork/send/wait
-  /// ordering — and consumed by the next call's decision.
-  BlockReport send_block(ByteView block, ByteView next_block = {});
-
-  /// Send one block through a fixed method, bypassing the selector (the
-  /// non-adaptive baselines, and the building block for paced scenarios).
-  BlockReport send_block_fixed(ByteView block, MethodId method);
-
   /// Force every block through one method — the paper's non-adaptive
   /// baselines ("rather than in the 29.1388 seconds it took without
   /// compression"). Same driver as send_all(); a codec failure surfaces
@@ -298,8 +286,8 @@ class AdaptiveSender {
   //   3. finish_block() — bookkeeping + wire transmission (driver thread
   //                       only, called in strictly increasing sequence
   //                       order so frames leave in order).
-  // send_block() is exactly plan → encode → finish inline; send_all()
-  // drives the same steps over a stream.
+  // send_all() drives these steps over a stream; with 1 worker it runs
+  // plan → encode → finish inline, block by block.
 
   /// Serial selector step: sample (collecting any pending async sample),
   /// choose the method (§2.5 decision + target rate + circuit breaker),
@@ -359,9 +347,6 @@ class AdaptiveSender {
   CodecRegistry& registry() noexcept { return registry_; }
 
  private:
-  /// plan → encode → finish on the calling thread.
-  BlockReport transmit_planned(const BlockPlan& plan, ByteView block);
-
   /// The stream driver behind send_all() (`fixed` empty) and
   /// send_all_fixed().
   StreamReport run(ByteView data, std::optional<MethodId> fixed);

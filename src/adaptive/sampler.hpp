@@ -45,8 +45,6 @@ class Sampler {
 
   bool pending() const noexcept { return future_.valid(); }
 
-  std::size_t prefix_size() const noexcept { return prefix_size_; }
-
  private:
   std::size_t prefix_size_;
   std::future<SampleResult> future_;

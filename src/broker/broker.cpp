@@ -94,9 +94,7 @@ struct FanoutBroker::Subscriber {
   }
 };
 
-FanoutBroker::FanoutBroker(BrokerConfig config)
-    : config_(config),
-      sampler_(config.sample_prefix == 0 ? 4 * 1024 : config.sample_prefix) {
+FanoutBroker::FanoutBroker(BrokerConfig config) : config_(config) {
   if (config_.worker_threads != 1) {
     pool_ = std::make_unique<engine::ThreadPool>(config_.worker_threads,
                                                  config_.queue_capacity);
@@ -118,8 +116,8 @@ SubscriberId FanoutBroker::subscribe(transport::Transport& transport,
     sub->id = next_id_++;
   }
   if (config.name.empty()) config.name = "sub-" + std::to_string(sub->id);
-  // The broker owns the sampling and the bandwidth measurement point;
-  // per-subscriber settings for either would be silently wrong.
+  // The broker runs the sampling and owns the bandwidth measurement
+  // point; a sender-side async sampler or link timing would be wrong here.
   config.adaptive.external_bandwidth_feedback = true;
   config.adaptive.async_sampling = false;
 
@@ -204,23 +202,13 @@ void FanoutBroker::publish(ByteView block) {
     if (cap == 0 || cap > block.size()) cap = block.size();
     by_chunk[cap].push_back(std::move(sub));
   }
-  // The sampled ratio is a property of the data, not of any subscriber's
-  // link, and a sample reads only the chunk's prefix: chunks that start
-  // at the same offset and cover the same prefix share one sample, so
-  // sizes 16/8/16/4 KiB cost 4 samples per 16 KiB publish, not 7.
-  std::map<std::pair<std::size_t, std::size_t>, adaptive::SampleResult>
-      samples;  // (offset, sampled bytes) -> sample
+  SampleMemo samples;
   for (auto& [chunk_size, group] : by_chunk) {
     std::size_t off = 0;
     do {  // at least once: an empty publish still reaches its subscribers
       const ByteView chunk(block.data() + off,
                            std::min(chunk_size, block.size() - off));
-      const std::pair key{off, std::min(sampler_.prefix_size(), chunk.size())};
-      auto it = samples.find(key);
-      if (it == samples.end()) {
-        it = samples.emplace(key, sampler_.sample(chunk)).first;
-      }
-      publish_chunk(chunk, it->second, group);
+      publish_chunk(chunk, off, group, samples);
       off += chunk_size;
     } while (off < block.size());
   }
@@ -231,9 +219,9 @@ void FanoutBroker::publish(ByteView block) {
   metrics.samples.add(samples.size());
 }
 
-void FanoutBroker::publish_chunk(ByteView block,
-                                 const adaptive::SampleResult& sample,
-                                 const std::vector<SubscriberPtr>& subs) {
+void FanoutBroker::publish_chunk(ByteView block, std::size_t offset,
+                                 const std::vector<SubscriberPtr>& subs,
+                                 SampleMemo& samples) {
   auto& metrics = broker_metrics();
 
   struct Planned {
@@ -244,8 +232,21 @@ void FanoutBroker::publish_chunk(ByteView block,
   planned.reserve(subs.size());
   for (const auto& sub : subs) {
     if (sub->is_disconnected()) continue;
+    // Each subscriber samples with its own sample_size. The sampled ratio
+    // is a property of the data, not of any link, and a sample reads only
+    // the chunk's prefix, so subscribers whose chunks start at the same
+    // offset and cover the same prefix share one sample: sizes 16/8/16/4
+    // KiB with equal sample sizes cost 4 samples per 16 KiB publish, not 7.
+    const std::size_t sample_size = sub->config.adaptive.decision.sample_size;
+    const std::pair key{offset, std::min(sample_size, block.size())};
+    auto it = samples.find(key);
+    if (it == samples.end()) {
+      it = samples.emplace(key, adaptive::Sampler(sample_size).sample(block))
+               .first;
+    }
     std::lock_guard<std::mutex> lock(sub->sender_mutex);
-    planned.push_back({sub, sub->sender->plan_block_sampled(block, sample)});
+    planned.push_back(
+        {sub, sub->sender->plan_block_sampled(block, it->second)});
   }
   if (planned.empty()) {
     metrics.groups.set(0);
@@ -396,7 +397,7 @@ std::size_t FanoutBroker::pump_locked_free(const SubscriberPtr& sub,
     // Parked subscribers have no peer to pump to; their frames wait in
     // the shed-mode egress for resume() to sort out.
     if (sub->parked.load()) break;
-    std::optional<BufferView> frame = sub->queue->try_pop_buffer();
+    std::optional<BufferView> frame = sub->queue->receive_buffer();
     if (!frame) break;
     transport::Transport* downstream = sub->downstream.load();
     // Time the REAL link transfer on the transport's clock — this is the
@@ -508,36 +509,6 @@ void FanoutBroker::set_shed(SubscriberId id, bool on) {
   // does; parking owns the flag until resume.
   if (sub->parked.load() && !on) return;
   sub->queue->set_shed_mode(on);
-}
-
-SubscriberMemory FanoutBroker::memory_usage(SubscriberId id) const {
-  const SubscriberPtr sub = find(id);
-  if (!sub) {
-    throw ConfigError("broker: unknown subscriber id " + std::to_string(id));
-  }
-  SubscriberMemory mem;
-  mem.egress_bytes = sub->queue->bytes();
-  {
-    std::lock_guard<std::mutex> lock(sub->sender_mutex);
-    mem.ring_bytes = sub->sender->retransmit_ring().bytes();
-  }
-  return mem;
-}
-
-std::size_t FanoutBroker::memory_usage_total() const {
-  std::vector<SubscriberPtr> subs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    subs.reserve(subscribers_.size());
-    for (const auto& [id, sub] : subscribers_) subs.push_back(sub);
-  }
-  std::size_t total = 0;
-  for (const auto& sub : subs) {
-    total += sub->queue->bytes();
-    std::lock_guard<std::mutex> lock(sub->sender_mutex);
-    total += sub->sender->retransmit_ring().bytes();
-  }
-  return total;
 }
 
 std::size_t FanoutBroker::memory_usage_unique() const {

@@ -24,8 +24,10 @@ using SubscriberId = std::uint64_t;
 
 /// Per-subscriber knobs: the adaptive stream configuration for THIS link
 /// plus the egress-queue contract. `adaptive.external_bandwidth_feedback`
-/// and `adaptive.async_sampling` are overridden by the broker (the broker
-/// owns both the bandwidth measurement point and the shared sampler).
+/// and `adaptive.async_sampling` are overridden by the broker, which owns
+/// the bandwidth measurement point and runs the sampling itself. It
+/// samples each chunk with `adaptive.decision.sample_size`, sharing one
+/// sample among every subscriber that reads the same prefix.
 struct SubscriberConfig {
   /// Obs label; defaults to "sub-<id>" when empty. Must be unique if you
   /// want per-subscriber metrics to stay distinguishable.
@@ -61,20 +63,12 @@ struct BrokerResume {
   std::size_t replayed = 0;  ///< frames re-sent into the egress
 };
 
-/// One subscriber's share of process memory, for the session layer's
-/// MemoryBudget probe: queued egress frames plus retransmit-ring history.
-struct SubscriberMemory {
-  std::size_t egress_bytes = 0;
-  std::size_t ring_bytes = 0;
-  std::size_t total() const noexcept { return egress_bytes + ring_bytes; }
-};
-
 /// Broker-wide accounting. The shared-encode invariant the tests assert:
 /// encodes == cache_misses, and per block the number of codec runs equals
 /// the number of distinct chosen methods — NOT the subscriber count.
 struct BrokerStats {
   std::uint64_t blocks = 0;        ///< publish() calls
-  std::uint64_t samples = 0;       ///< sampler runs (distinct chunk prefixes)
+  std::uint64_t samples = 0;       ///< sampler runs (distinct prefixes)
   std::uint64_t encodes = 0;       ///< actual codec runs (== cache_misses)
   std::uint64_t cache_hits = 0;    ///< subscriber frames served from cache
   std::uint64_t cache_misses = 0;  ///< one per (block, method) group
@@ -89,12 +83,6 @@ struct BrokerConfig {
   std::size_t worker_threads = 1;
   /// Task-queue capacity of the encode pool; 0 = ThreadPool default.
   std::size_t queue_capacity = 0;
-  /// Shared sampler prefix (the paper's 4 KiB). Each distinct chunk prefix
-  /// of a publish is sampled once and the result feeds the plan of every
-  /// subscriber whose chunk starts there: one sample per publish when
-  /// block sizes are uniform, one per distinct chunk offset when a
-  /// subscriber's smaller block_size re-chunks it.
-  std::size_t sample_prefix = 4 * 1024;
   /// Frame staging hook. When set, the broker builds each shared frame by
   /// calling this instead of frame_build_seq + heap copy — the shm
   /// transport installs shm::slab_frame_builder here so frames materialize
@@ -115,7 +103,7 @@ struct BrokerConfig {
 /// One FanoutBroker stands between a published block stream (publish(), or
 /// an attached echo::EventChannel) and N subscribers, each with its own
 /// transport, link profile, and adaptive decision state. Per block, every
-/// subscriber plans independently — same shared sample, own bandwidth
+/// subscriber plans independently — shared samples, own bandwidth
 /// estimator, own circuit breaker — and the broker then encodes once per
 /// DISTINCT chosen method, framing the cached payload per subscriber with
 /// its own sequence number (frame_build_seq). K subscribers that agree on
@@ -145,7 +133,7 @@ class FanoutBroker {
   /// publish). Unknown ids return false. Queued frames are dropped.
   bool unsubscribe(SubscriberId id);
 
-  /// Distribute one block to every live subscriber: shared sample, per-
+  /// Distribute one block to every live subscriber: shared samples, per-
   /// subscriber plan, one encode per distinct method, per-subscriber
   /// framing + finish. A block larger than a subscriber's configured
   /// block_size is re-chunked for that subscriber (the same split a
@@ -205,19 +193,12 @@ class FanoutBroker {
   /// ladder's drop-oldest stage. Parked subscribers are always shed.
   void set_shed(SubscriberId id, bool on);
 
-  /// `id`'s egress + retransmit-ring memory. Throws on unknown ids.
-  SubscriberMemory memory_usage(SubscriberId id) const;
-
-  /// Sum of memory_usage over every subscriber, parked or live. Counts
-  /// every queued/ringed frame at full size even when subscribers share
-  /// one backing buffer — the historical per-subscriber ledger.
-  std::size_t memory_usage_total() const;
-
-  /// Share-aware total: frames that alias one backing buffer (the shared-
-  /// encode fan-out case — N egress queues + N rings holding one slab)
-  /// charge the budget ONCE. This is what the session layer's MemoryBudget
-  /// and the overload ladder consume, so 64 subscribers sharing a slab no
-  /// longer look like 64 copies (DESIGN.md §16).
+  /// Egress + retransmit-ring memory of every subscriber, parked or live.
+  /// Share-aware: frames that alias one backing buffer (the shared-encode
+  /// fan-out case — N egress queues + N rings holding one slab) charge the
+  /// total ONCE. This is what the session layer's MemoryBudget and the
+  /// overload ladder consume, so 64 subscribers sharing a slab do not look
+  /// like 64 copies (DESIGN.md §16).
   std::size_t memory_usage_unique() const;
 
   /// Attach this broker to a channel: every event submitted to the channel
@@ -246,16 +227,20 @@ class FanoutBroker {
   SubscriberPtr find(SubscriberId id) const;
   std::size_t pump_locked_free(const SubscriberPtr& sub,
                                std::size_t max_frames);
+  /// One publish's samples, keyed by (chunk offset, sampled bytes).
+  using SampleMemo =
+      std::map<std::pair<std::size_t, std::size_t>, adaptive::SampleResult>;
+
   /// One publish pass over `subs` with a chunk every member's block_size
-  /// can carry: per-subscriber plan from the shared `sample`, grouped
-  /// encode, frame + finish. The body of publish(), minus the re-chunking
-  /// and the sampling.
-  void publish_chunk(ByteView block, const adaptive::SampleResult& sample,
-                     const std::vector<SubscriberPtr>& subs);
+  /// can carry, starting `offset` bytes into the publish: per-subscriber
+  /// plan from its sample (looked up in, or added to, `samples`), grouped
+  /// encode, frame + finish. The body of publish(), minus the re-chunking.
+  void publish_chunk(ByteView block, std::size_t offset,
+                     const std::vector<SubscriberPtr>& subs,
+                     SampleMemo& samples);
 
   BrokerConfig config_;
   CodecRegistry registry_ = CodecRegistry::with_builtins();
-  adaptive::Sampler sampler_;
   std::unique_ptr<engine::ThreadPool> pool_;  ///< null = inline encodes
 
   mutable std::mutex mutex_;        ///< guards subscribers_ + next_id_

@@ -10,7 +10,6 @@ EgressQueue::EgressQueue(std::size_t capacity, SlowConsumerPolicy policy,
       clock_(&clock), block_timeout_(block_timeout < 0 ? 0 : block_timeout) {}
 
 void EgressQueue::drop_front_locked() {
-  bytes_ -= frames_.front().size();
   frames_.pop_front();
   ++drops_;
 }
@@ -56,7 +55,6 @@ void EgressQueue::send_buffer(const BufferView& message) {
       case SlowConsumerPolicy::kDisconnect:
         closed_ = true;
         frames_.clear();
-        bytes_ = 0;
         not_full_.notify_all();
         throw IoError("egress queue overflow: slow consumer disconnected");
     }
@@ -65,28 +63,20 @@ void EgressQueue::send_buffer(const BufferView& message) {
   // Retain the view — sharing the backing buffer with every other holder
   // (sibling queues, retransmit rings, the shm slab ring).
   frames_.push_back(message);
-  bytes_ += message.size();
   ++accepted_;
 }
 
-std::optional<Bytes> EgressQueue::receive() { return try_pop(); }
-
-std::optional<BufferView> EgressQueue::receive_buffer() {
-  return try_pop_buffer();
-}
-
-std::optional<Bytes> EgressQueue::try_pop() {
-  std::optional<BufferView> frame = try_pop_buffer();
+std::optional<Bytes> EgressQueue::receive() {
+  std::optional<BufferView> frame = receive_buffer();
   if (!frame) return std::nullopt;
   return frame->to_bytes();
 }
 
-std::optional<BufferView> EgressQueue::try_pop_buffer() {
+std::optional<BufferView> EgressQueue::receive_buffer() {
   std::unique_lock<std::mutex> lock(mutex_);
   if (frames_.empty()) return std::nullopt;
   BufferView frame = std::move(frames_.front());
   frames_.pop_front();
-  bytes_ -= frame.size();
   not_full_.notify_one();
   return frame;
 }
@@ -95,7 +85,6 @@ void EgressQueue::close() {
   std::lock_guard<std::mutex> lock(mutex_);
   closed_ = true;
   frames_.clear();
-  bytes_ = 0;
   not_full_.notify_all();
 }
 
@@ -103,7 +92,6 @@ std::size_t EgressQueue::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t cleared = frames_.size();
   frames_.clear();
-  bytes_ = 0;
   not_full_.notify_all();
   return cleared;
 }
@@ -127,11 +115,6 @@ bool EgressQueue::closed() const {
 std::size_t EgressQueue::depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return frames_.size();
-}
-
-std::size_t EgressQueue::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
 }
 
 std::size_t EgressQueue::bytes_unique(std::set<const void*>& seen) const {

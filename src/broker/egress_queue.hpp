@@ -47,7 +47,7 @@ class EgressTimeout : public IoError {
 /// Bounded, thread-safe frame queue standing between one subscriber's
 /// AdaptiveSender (producer: the broker's publish loop) and its real
 /// transport (consumer: the delivery pump). Implements Transport so the
-/// sender writes to it unchanged; receive()/try_pop() hand frames to the
+/// sender writes to it unchanged; receive_buffer() hands frames to the
 /// pump, which forwards them downstream and times the REAL transfer.
 ///
 /// The queue's own accept time is meaningless as a bandwidth signal —
@@ -76,20 +76,15 @@ class EgressQueue final : public transport::Transport {
   /// out to N subscribers' queues at the cost of one buffer.
   void send_buffer(const BufferView& message) override;
 
-  /// Pop the oldest frame; std::nullopt when empty (or closed and drained).
+  /// Non-blocking pop of the oldest frame as a copy; std::nullopt when
+  /// empty (or closed and drained).
   std::optional<Bytes> receive() override;
 
-  /// Zero-copy pop: hands back the retained view, owner intact, so the
-  /// pump can forward it downstream without materializing a copy.
+  /// Non-blocking zero-copy pop: hands back the retained view, owner
+  /// intact, so the pump can forward it downstream without a copy.
   std::optional<BufferView> receive_buffer() override;
 
   const Clock& clock() const override { return *clock_; }
-
-  /// Non-blocking pop for the delivery pump (same as receive()).
-  std::optional<Bytes> try_pop();
-
-  /// Non-blocking zero-copy pop (same as receive_buffer()).
-  std::optional<BufferView> try_pop_buffer();
 
   /// Close the queue: wakes any blocked sender with IoError, drops queued
   /// frames, and makes every later send() fail. Idempotent. Called on
@@ -112,9 +107,6 @@ class EgressQueue final : public transport::Transport {
 
   bool closed() const;
   std::size_t depth() const;
-  /// Payload bytes currently queued, counting every frame at full size
-  /// even when frames share one backing buffer across queues.
-  std::size_t bytes() const;
   /// Share-aware accounting: queued bytes whose backing buffer is not
   /// already in `seen` (registering each as a side effect). The broker
   /// threads one set through all queues + rings so a frame shared by N
@@ -142,7 +134,6 @@ class EgressQueue final : public transport::Transport {
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::deque<BufferView> frames_;
-  std::size_t bytes_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t accepted_ = 0;
   std::uint64_t timeouts_ = 0;

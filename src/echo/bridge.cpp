@@ -9,16 +9,14 @@
 namespace acex::echo {
 namespace {
 
-// Message discriminators on the bridged transport. kMsgEvent is the legacy
-// unsequenced envelope and kMsgEventSeq the sequence-only one; senders now
-// emit kMsgEventSeqCrc (sequence + body CRC), but receivers keep accepting
-// all three so older peers interoperate. The CRC exists because a bit flip
-// inside the event body can survive deserialization: without it the
-// corrupted event is delivered as genuine AND consumes its sequence, so
-// the ring's clean copy is later dup-dropped (found by `acexfuzz --soak`).
-constexpr std::uint8_t kMsgEvent = 0;
+// Message discriminators on the bridged transport. Events travel only as
+// kMsgEventSeqCrc (sequence + CRC over sequence and body). The retired
+// kinds 0 (no sequence) and 2 (no CRC) are counted as corrupt: a bit flip
+// inside an event body can survive deserialization, and without the CRC
+// the damaged event would be delivered as genuine AND consume its
+// sequence, so the ring's clean copy is later dup-dropped (found by
+// `acexfuzz --soak`).
 constexpr std::uint8_t kMsgControl = 1;
-constexpr std::uint8_t kMsgEventSeq = 2;
 constexpr std::uint8_t kMsgEventSeqCrc = 3;
 
 Bytes wrap(std::uint8_t kind, ByteView body) {
@@ -165,16 +163,7 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
       continue;
     }
     const std::uint8_t kind = (*message)[0];
-    if (kind == kMsgEvent) {
-      // Legacy unsequenced event: no recovery metadata, best effort only.
-      try {
-        channel_->submit(deserialize_event(ByteView(*message).subspan(1)));
-        ++received_;
-        ++delivered;
-      } catch (const Error&) {
-        ++corrupt_;
-      }
-    } else if (kind == kMsgEventSeq || kind == kMsgEventSeqCrc) {
+    if (kind == kMsgEventSeqCrc) {
       std::size_t pos = 1;
       try {
         const std::uint64_t seq = get_varint(*message, &pos);
@@ -185,23 +174,20 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
           // like. Reject before it can poison gap tracking.
           throw DecodeError("bridge: implausible sequence");
         }
-        std::size_t body_end = message->size();
-        if (kind == kMsgEventSeqCrc) {
-          // Verify the trailing CRC before trusting anything — including
-          // the sequence just parsed. A damaged message must surface as a
-          // gap to NACK, not as a delivered event or a consumed sequence.
-          if (message->size() - pos < 4) {
-            throw DecodeError("bridge: event crc truncated");
-          }
-          body_end = message->size() - 4;
-          std::uint32_t crc = 0;
-          for (int i = 0; i < 4; ++i) {
-            crc |=
-                static_cast<std::uint32_t>((*message)[body_end + i]) << (8 * i);
-          }
-          if (crc32(ByteView(*message).subspan(1, body_end - 1)) != crc) {
-            throw DecodeError("bridge: event crc mismatch");
-          }
+        // Verify the trailing CRC before trusting anything — including
+        // the sequence just parsed. A damaged message must surface as a
+        // gap to NACK, not as a delivered event or a consumed sequence.
+        if (message->size() - pos < 4) {
+          throw DecodeError("bridge: event crc truncated");
+        }
+        const std::size_t body_end = message->size() - 4;
+        std::uint32_t crc = 0;
+        for (int i = 0; i < 4; ++i) {
+          crc |=
+              static_cast<std::uint32_t>((*message)[body_end + i]) << (8 * i);
+        }
+        if (crc32(ByteView(*message).subspan(1, body_end - 1)) != crc) {
+          throw DecodeError("bridge: event crc mismatch");
         }
         if (already_delivered(seq)) {
           ++duplicates_;
@@ -223,6 +209,8 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
       } catch (const Error&) {
         ++corrupt_;
       }
+    } else if (kind != kMsgControl) {
+      ++corrupt_;  // a retired envelope (kinds 0 and 2) or an unknown kind
     }
     // Control messages arriving at the consumer side are ignored, like
     // event messages at the producer side.

@@ -288,7 +288,6 @@ void apply(const NegotiatedParams& params, adaptive::AdaptiveConfig& config) {
   config.decision.policy = params.policy;
   config.expansion_slack_bytes = params.expansion_slack;
   config.target_rate_Bps = static_cast<double>(params.target_rate_Bps);
-  if (!params.context_takeover) config.async_sampling = false;
   std::vector<MethodId> allowed = params.methods;
   config.method_governor = [allowed = std::move(allowed)](MethodId m) {
     return governed_method(allowed, m);

@@ -135,10 +135,10 @@ NegotiatedParams negotiate(const CompressionOffer& offer,
                            const ServerPolicy& policy);
 
 /// Map one negotiated set onto a subscriber's adaptive config: block size,
-/// expansion slack and target rate verbatim; the allowlist becomes a
-/// method_governor (see governed_method); no-context-takeover additionally
-/// pins async_sampling off so every block is planned from a fresh inline
-/// sample rather than state carried across blocks.
+/// decision policy, expansion slack and target rate verbatim; the
+/// allowlist becomes a method_governor (see governed_method).
+/// context_takeover is not mapped: broker senders sample every chunk
+/// inline anyway, and none of them resets its adaptation per block yet.
 void apply(const NegotiatedParams& params, adaptive::AdaptiveConfig& config);
 
 /// Allowlist governor: `method` itself when negotiated, otherwise the

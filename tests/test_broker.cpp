@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -214,6 +215,63 @@ TEST(BrokerGroups, OneSamplePerDistinctChunkPrefix) {
   }
   uniform.publish(block);
   EXPECT_EQ(uniform.stats().samples, 1u);
+}
+
+TEST(BrokerGroups, EachSubscriberSamplesWithItsOwnSampleSize) {
+  VirtualClock clock;
+  // Four subscribers share one 4 KiB chunk: two sample its first KiB, two
+  // all of it.
+  const std::size_t kSampleSizes[] = {1024, 4096, 1024, 4096};
+  std::vector<std::unique_ptr<SimEndpoint>> endpoints;
+  FanoutBroker broker;
+  for (std::size_t i = 0; i < std::size(kSampleSizes); ++i) {
+    endpoints.push_back(std::make_unique<SimEndpoint>(clock, 1e6, 50 + i));
+    SubscriberConfig config;
+    config.adaptive.decision.block_size = 4 * 1024;
+    config.adaptive.decision.sample_size = kSampleSizes[i];
+    // A crawling link: the sampled ratio alone picks the method (LZ/BW
+    // below the ratio cut, Huffman above), so each plan's sampled ratio
+    // shows on the wire as the side of the cut it fell on.
+    config.adaptive.initial_bandwidth_Bps = 1e3;
+    broker.subscribe(endpoints.back()->duplex.a(), config);
+  }
+
+  // Zeros in the first KiB, noise behind it: a 1 KiB sample lands below
+  // the cut, a 4 KiB one above.
+  Bytes chunk = testdata::zeros(1024, 0);
+  const Bytes noise = testdata::random_bytes(3 * 1024, 51);
+  chunk.insert(chunk.end(), noise.begin(), noise.end());
+  const double cut = adaptive::DecisionParams{}.ratio_cut_percent;
+  ASSERT_LT(adaptive::Sampler(1024).sample(chunk).ratio_percent, cut);
+  ASSERT_GE(adaptive::Sampler(4096).sample(chunk).ratio_percent, cut);
+
+  broker.publish(chunk);
+  BrokerStats stats = broker.stats();
+  EXPECT_EQ(stats.samples, 2u);       // one per distinct sample size
+  EXPECT_EQ(stats.last_groups, 2u);   // one per chosen method
+  EXPECT_EQ(stats.encodes, 2u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+
+  // All zeros: both sample sizes land below the cut, so the differing
+  // samples still feed ONE encode group.
+  broker.publish(testdata::zeros(4 * 1024, 0));
+  stats = broker.stats();
+  EXPECT_EQ(stats.samples, 4u);
+  EXPECT_EQ(stats.last_groups, 1u);
+  EXPECT_EQ(stats.encodes, 3u);
+  EXPECT_EQ(stats.cache_hits, 5u);
+
+  broker.pump_all();
+  for (std::size_t i = 0; i < std::size(kSampleSizes); ++i) {
+    std::vector<bool> got_lz_family;
+    while (auto wire = endpoints[i]->duplex.b().receive()) {
+      got_lz_family.push_back(frame_parse(*wire).method != MethodId::kHuffman);
+    }
+    const bool own_sample_compresses =
+        adaptive::Sampler(kSampleSizes[i]).sample(chunk).ratio_percent < cut;
+    EXPECT_EQ(got_lz_family, std::vector<bool>({own_sample_compresses, true}))
+        << "subscriber " << i;
+  }
 }
 
 // --------------------------------------------- shared-encode byte identity
@@ -627,9 +685,9 @@ TEST(BrokerEgress, BlockTimeoutThrowsTypedOutcomeAndKeepsQueueOpen) {
   EXPECT_EQ(q.timeouts(), 1u);
   EXPECT_FALSE(q.closed());
   // The timed-out frame was not enqueued; the queue keeps working.
-  EXPECT_EQ(q.try_pop(), Bytes{1});
+  EXPECT_EQ(q.receive(), Bytes{1});
   q.send(Bytes{3});
-  EXPECT_EQ(q.try_pop(), Bytes{3});
+  EXPECT_EQ(q.receive(), Bytes{3});
 }
 
 TEST(BrokerEgress, BlockedSenderWakesWhenDrainedBeforeTimeout) {
@@ -637,12 +695,12 @@ TEST(BrokerEgress, BlockedSenderWakesWhenDrainedBeforeTimeout) {
   EgressQueue q(1, SlowConsumerPolicy::kBlock, clock, 5.0);
   q.send(Bytes{1});
   std::thread consumer([&] {
-    while (!q.try_pop()) std::this_thread::yield();
+    while (!q.receive()) std::this_thread::yield();
   });
   q.send(Bytes{2});  // must ride the drain, nowhere near the 5 s deadline
   consumer.join();
   EXPECT_EQ(q.timeouts(), 0u);
-  EXPECT_EQ(q.try_pop(), Bytes{2});
+  EXPECT_EQ(q.receive(), Bytes{2});
 }
 
 TEST(BrokerEgress, ShedModeDropsOldestInsteadOfBlocking) {
@@ -653,8 +711,8 @@ TEST(BrokerEgress, ShedModeDropsOldestInsteadOfBlocking) {
   q.set_shed_mode(true);
   q.send(Bytes{3});  // full queue + shed: evict 1, admit 3, never wait
   EXPECT_EQ(q.drops(), 1u);
-  EXPECT_EQ(q.try_pop(), Bytes{2});
-  EXPECT_EQ(q.try_pop(), Bytes{3});
+  EXPECT_EQ(q.receive(), Bytes{2});
+  EXPECT_EQ(q.receive(), Bytes{3});
   q.set_shed_mode(false);
   EXPECT_FALSE(q.shed_mode());
 }
@@ -664,13 +722,16 @@ TEST(BrokerEgress, ClearEmptiesWithoutCountingDrops) {
   EgressQueue q(8, SlowConsumerPolicy::kDropOldest, clock);
   q.send(Bytes{1, 2, 3});
   q.send(Bytes{4, 5});
-  EXPECT_EQ(q.bytes(), 5u);
+  std::set<const void*> before;
+  EXPECT_EQ(q.bytes_unique(before), 5u);
   EXPECT_EQ(q.clear(), 2u);
-  EXPECT_EQ(q.bytes(), 0u);
+  std::set<const void*> after;
+  EXPECT_EQ(q.bytes_unique(after), 0u);
+  EXPECT_EQ(q.depth(), 0u);
   EXPECT_EQ(q.drops(), 0u);  // cleared frames are replayed, not lost
   EXPECT_FALSE(q.closed());
   q.send(Bytes{6});
-  EXPECT_EQ(q.try_pop(), Bytes{6});
+  EXPECT_EQ(q.receive(), Bytes{6});
 }
 
 TEST(BrokerPolicy, EgressTimeoutCountsOnSubscriberAndStaysConnected) {

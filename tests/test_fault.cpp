@@ -22,6 +22,7 @@
 #include "transport/fault_transport.hpp"
 #include "transport/retransmit.hpp"
 #include "transport/sim_transport.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/varint.hpp"
 
@@ -34,6 +35,20 @@ netsim::LinkParams flat_link(double bps) {
   p.jitter_frac = 0;
   p.latency_s = 0;
   return p;
+}
+
+/// A bridge event message as ChannelSender frames it: kind 3, the sequence
+/// varint, the serialized event, then a little-endian CRC-32 over the
+/// sequence and the body.
+Bytes seq_crc_envelope(std::uint64_t seq, const Bytes& body) {
+  Bytes out{3};
+  put_varint(out, seq);
+  out.insert(out.end(), body.begin(), body.end());
+  const std::uint32_t crc = crc32(ByteView(out).subspan(1));
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
+  return out;
 }
 
 /// Always-throwing codec: what a buggy or resource-starved method looks
@@ -382,26 +397,34 @@ TEST_F(FaultTest, BreakerReTripsImmediatelyWhenTheProbeFails) {
   wire(100e3);
   adaptive::AdaptiveConfig config = small_blocks();
   config.target_rate_Bps = 1e12;  // keep the selector on kBurrowsWheeler
-  config.breaker_failure_threshold = 2;
-  config.breaker_cooldown_blocks = 2;
   adaptive::AdaptiveSender sender(duplex_->a(), config);
   sender.registry().register_factory(
       MethodId::kBurrowsWheeler, [] { return CodecPtr(new ThrowingCodec); });
   adaptive::AdaptiveReceiver rx(duplex_->b(),
                                 {adaptive::RecoveryPolicy::kSkip, 3});
 
-  const Bytes data = testdata::repetitive_text(12 * 4096, 23);
+  // The opening trip, then two half-open probes, each one cooldown after
+  // the block that tripped the breaker before it.
+  constexpr std::size_t kThreshold = adaptive::kBreakerFailureThreshold;
+  constexpr std::size_t kCooldown = adaptive::kBreakerCooldownBlocks;
+  constexpr std::size_t kFirstProbe = kThreshold + kCooldown;
+  constexpr std::size_t kSecondProbe = kFirstProbe + 1 + kCooldown;
+  const Bytes data =
+      testdata::repetitive_text((kSecondProbe + 1) * 4096, 23);
   const adaptive::StreamReport report = sender.send_all(data);
-  ASSERT_EQ(report.blocks.size(), 12u);
+  ASSERT_EQ(report.blocks.size(), kSecondProbe + 1);
+  for (const std::size_t probe : {kFirstProbe, kSecondProbe}) {
+    EXPECT_EQ(report.blocks[probe].requested_method,
+              MethodId::kBurrowsWheeler) << "block " << probe;
+    EXPECT_TRUE(report.blocks[probe].fallback) << "block " << probe;
+  }
 
   const adaptive::DegradationStats& d = sender.degradation();
   // Opening costs `threshold` consecutive failures; after that the method
   // is on probation, so each half-open probe that fails re-trips on ONE
   // failure instead of accumulating a fresh streak.
   EXPECT_GE(d.quarantines, 3u);
-  EXPECT_EQ(d.codec_failures,
-            static_cast<std::uint64_t>(config.breaker_failure_threshold) +
-                (d.quarantines - 1));
+  EXPECT_EQ(d.codec_failures, kThreshold + (d.quarantines - 1));
   // Degradation never corrupts the stream.
   EXPECT_EQ(rx.receive_available(), data);
 }
@@ -438,27 +461,28 @@ TEST_F(FaultTest, BreakerClosesWhenTheProbeSucceeds) {
   wire(100e3);
   adaptive::AdaptiveConfig config = small_blocks();
   config.target_rate_Bps = 1e12;
-  config.breaker_failure_threshold = 2;
-  config.breaker_cooldown_blocks = 2;
   adaptive::AdaptiveSender sender(duplex_->a(), config);
   static int failures_left = 0;
-  failures_left = 2;
+  failures_left = adaptive::kBreakerFailureThreshold;
   sender.registry().register_factory(MethodId::kBurrowsWheeler, [] {
     return CodecPtr(new FlakyCodec(&failures_left));
   });
   adaptive::AdaptiveReceiver rx(duplex_->b(),
                                 {adaptive::RecoveryPolicy::kSkip, 3});
 
-  const Bytes data = testdata::repetitive_text(10 * 4096, 24);
+  constexpr std::size_t kProbe =
+      adaptive::kBreakerFailureThreshold + adaptive::kBreakerCooldownBlocks;
+  const Bytes data = testdata::repetitive_text((kProbe + 6) * 4096, 24);
   const adaptive::StreamReport report = sender.send_all(data);
-  ASSERT_EQ(report.blocks.size(), 10u);
+  ASSERT_EQ(report.blocks.size(), kProbe + 6);
 
   const adaptive::DegradationStats& d = sender.degradation();
   EXPECT_EQ(d.quarantines, 1u);   // opened once, never re-tripped
-  EXPECT_EQ(d.codec_failures, 2u);
+  EXPECT_EQ(d.codec_failures,
+            static_cast<std::uint64_t>(adaptive::kBreakerFailureThreshold));
   // After the successful probe the method is fully re-admitted.
   bool bw_after_probe = false;
-  for (std::size_t i = 4; i < report.blocks.size(); ++i) {
+  for (std::size_t i = kProbe; i < report.blocks.size(); ++i) {
     if (report.blocks[i].method == MethodId::kBurrowsWheeler) {
       bw_after_probe = true;
       EXPECT_FALSE(report.blocks[i].fallback);
@@ -499,8 +523,8 @@ TEST_F(FaultTest, FixedBaselinesNeverDegrade) {
   // The paper's always-BW baseline must stay BW — surfacing the failure,
   // not silently switching methods under the experiment.
   EXPECT_THROW(
-      sender.send_block_fixed(testdata::low_entropy(1024, 23),
-                              MethodId::kBurrowsWheeler),
+      sender.send_all_fixed(testdata::low_entropy(1024, 23),
+                            MethodId::kBurrowsWheeler),
       DecodeError);
   EXPECT_EQ(sender.degradation().fallbacks, 0u);
 }
@@ -803,20 +827,18 @@ TEST_F(FaultTest, BridgeIgnoresCorruptSequenceHeaders) {
   producer.submit(echo::Event(Bytes{1}));  // seq 0
 
   // A flipped continuation bit in the sequence varint yields a huge value.
-  // Variant 1: the body after the (mis-)parsed varint fails to deserialize.
+  // Variant 1: the body after the (mis-)parsed varint is garbage and its
+  // CRC does not match.
   Bytes forged_bad_body;
-  forged_bad_body.push_back(2);  // kMsgEventSeq
+  forged_bad_body.push_back(3);  // kMsgEventSeqCrc
   put_varint(forged_bad_body, (1ull << 59));
-  forged_bad_body.push_back(0xFF);
+  forged_bad_body.insert(forged_bad_body.end(), {0xFF, 0, 0, 0, 0});
   duplex_->a().send(forged_bad_body);
-  // Variant 2: the body deserializes fine, but the sequence is implausibly
-  // far ahead of the delivery cursor — rejected by the gap-window clamp.
-  Bytes forged_good_body;
-  forged_good_body.push_back(2);
-  put_varint(forged_good_body, UINT64_MAX);
-  const Bytes body = echo::serialize_event(echo::Event(Bytes{9}));
-  forged_good_body.insert(forged_good_body.end(), body.begin(), body.end());
-  duplex_->a().send(forged_good_body);
+  // Variant 2: the body deserializes fine and the CRC matches, but the
+  // sequence is implausibly far ahead of the delivery cursor — rejected by
+  // the gap-window clamp.
+  duplex_->a().send(seq_crc_envelope(
+      UINT64_MAX, echo::serialize_event(echo::Event(Bytes{9}))));
 
   producer.submit(echo::Event(Bytes{2}));  // seq 1
 
@@ -827,6 +849,39 @@ TEST_F(FaultTest, BridgeIgnoresCorruptSequenceHeaders) {
   // instead of enumerating billions of phantom sequences (or hanging).
   EXPECT_TRUE(receiver.missing().empty());
   EXPECT_EQ(receiver.signal_nacks(), 0u);
+}
+
+TEST_F(FaultTest, BridgeCountsRetiredEnvelopesAsCorrupt) {
+  wire();
+  echo::EventChannel producer("remote"), consumer("local");
+  echo::ChannelSender sender(producer, duplex_->a());
+  echo::ChannelReceiver receiver(consumer, duplex_->b());
+  std::vector<Bytes> delivered;
+  consumer.subscribe(
+      [&](const echo::Event& e) { delivered.push_back(e.payload); });
+
+  // Kind 0 (no sequence) and kind 2 (sequence, no CRC) carry nothing that
+  // could tell a flipped body bit from a genuine event.
+  const Bytes body = echo::serialize_event(echo::Event(Bytes{7}));
+  Bytes unsequenced{0};
+  unsequenced.insert(unsequenced.end(), body.begin(), body.end());
+  Bytes unchecked{2};
+  put_varint(unchecked, 0);
+  unchecked.insert(unchecked.end(), body.begin(), body.end());
+  duplex_->a().send(unsequenced);
+  duplex_->a().send(unchecked);
+  EXPECT_EQ(receiver.poll(), 0u);
+  EXPECT_EQ(receiver.events_received(), 0u);
+  EXPECT_EQ(receiver.corrupt_dropped(), 2u);
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_TRUE(receiver.missing().empty());
+
+  // Sequence 0 is still unused: the genuine event carrying it is
+  // delivered, not dropped as a duplicate of the kind-2 message.
+  producer.submit(echo::Event(Bytes{1}));
+  EXPECT_EQ(receiver.poll(), 1u);
+  EXPECT_EQ(receiver.duplicates_dropped(), 0u);
+  EXPECT_EQ(delivered, std::vector<Bytes>{Bytes{1}});
 }
 
 TEST_F(FaultTest, BridgeReceiverRejectsZeroGapWindow) {

@@ -171,9 +171,9 @@ TEST(SendBlockFixed, RespectsBlockSizeLimit) {
   adaptive::AdaptiveSender sender(duplex.a(), config);
 
   const Bytes ok(config.decision.block_size, 1);
-  EXPECT_NO_THROW(sender.send_block_fixed(ok, MethodId::kHuffman));
+  EXPECT_NO_THROW(sender.plan_block_fixed(ok, MethodId::kHuffman));
   const Bytes big(config.decision.block_size + 1, 1);
-  EXPECT_THROW(sender.send_block_fixed(big, MethodId::kHuffman), ConfigError);
+  EXPECT_THROW(sender.plan_block_fixed(big, MethodId::kHuffman), ConfigError);
 }
 
 TEST(LoadTraceTimeScaled, CompressesTimeAxis) {

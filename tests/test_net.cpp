@@ -435,16 +435,18 @@ TEST(NetHandshake, ApplyMapsOntoAdaptiveConfig) {
   params.expansion_slack = 16;
   params.context_takeover = false;
   params.target_rate_Bps = 777;
+  params.policy = adaptive::DecisionPolicy::kEnergyProxy;
   adaptive::AdaptiveConfig config;
-  config.async_sampling = true;
   apply(params, config);
   EXPECT_EQ(config.decision.block_size, 8192u);
+  EXPECT_EQ(config.decision.policy, adaptive::DecisionPolicy::kEnergyProxy);
   EXPECT_EQ(config.expansion_slack_bytes, 16u);
   EXPECT_DOUBLE_EQ(config.target_rate_Bps, 777.0);
-  EXPECT_FALSE(config.async_sampling);  // no context takeover
   ASSERT_TRUE(static_cast<bool>(config.method_governor));
   EXPECT_EQ(config.method_governor(MethodId::kBurrowsWheeler),
             MethodId::kHuffman);
+  EXPECT_EQ(config.method_governor(MethodId::kHuffman), MethodId::kHuffman);
+  EXPECT_EQ(config.method_governor(MethodId::kNone), MethodId::kNone);
 }
 
 TEST(NetHandshake, RandomizedOfferRoundTripProperty) {

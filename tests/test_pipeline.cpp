@@ -178,7 +178,7 @@ TEST_F(PipelineTest, OversizedBlockRejected) {
   wire(1e6);
   AdaptiveSender sender(duplex_->a(), sync_config());
   const Bytes big(sender.config().decision.block_size + 1, 0);
-  EXPECT_THROW(sender.send_block(big), ConfigError);
+  EXPECT_THROW(sender.plan_block(big), ConfigError);
 }
 
 TEST_F(PipelineTest, AsyncSamplingMatchesSyncDecisionsOnSteadyData) {
@@ -299,6 +299,56 @@ TEST(Experiment, PolicyComparisonProducesAllFour) {
   for (const auto& r : results) {
     EXPECT_TRUE(r.verified) << r.policy;
     EXPECT_EQ(r.stream.original_bytes, data.size()) << r.policy;
+  }
+}
+
+TEST(Experiment, PacedAndPerBlockResetFixedRunsShipTheUnpacedFrames) {
+  // Paced and context_takeover=false runs send one block per send_all
+  // call. With a fixed method they must put the unpaced run's frames on
+  // the wire: per block the same sequence, method and framed size — the
+  // size of an independent encode_block() of that block — and a receiver
+  // that reassembles the input.
+  workloads::TransactionGenerator gen(14);
+  const Bytes data = gen.text_block(5 * 16 * 1024 + 3000);  // short tail
+  ExperimentConfig config;
+  config.adaptive.decision.block_size = 16 * 1024;
+  config.adaptive.async_sampling = false;
+  ExperimentConfig paced = config;
+  paced.pace = 0.05;
+  ExperimentConfig reset = config;
+  reset.context_takeover = false;
+
+  const ExperimentResult base = run_fixed(data, config, MethodId::kLempelZiv);
+  const ExperimentResult paced_run =
+      run_fixed(data, paced, MethodId::kLempelZiv);
+  const ExperimentResult reset_run =
+      run_fixed(data, reset, MethodId::kLempelZiv);
+  ASSERT_TRUE(base.verified);
+  ASSERT_EQ(base.stream.blocks.size(), 6u);
+  const CodecRegistry registry = CodecRegistry::with_builtins();
+  for (const ExperimentResult* run : {&paced_run, &reset_run}) {
+    EXPECT_TRUE(run->verified);
+    ASSERT_EQ(run->stream.blocks.size(), base.stream.blocks.size());
+    for (std::size_t i = 0; i < base.stream.blocks.size(); ++i) {
+      const BlockReport& got = run->stream.blocks[i];
+      const std::size_t off = i * 16 * 1024;
+      const ByteView block = ByteView(data).subspan(
+          off, std::min<std::size_t>(16 * 1024, data.size() - off));
+      const EncodeResult want = encode_block(
+          registry, block, MethodId::kLempelZiv, i,
+          config.adaptive.expansion_slack_bytes, /*allow_degrade=*/false);
+      EXPECT_EQ(got.index, i);
+      EXPECT_EQ(got.method, MethodId::kLempelZiv);
+      EXPECT_EQ(got.original_size, block.size());
+      EXPECT_EQ(got.wire_size, want.framed.size()) << "block " << i;
+      EXPECT_EQ(got.wire_size, base.stream.blocks[i].wire_size);
+    }
+    EXPECT_EQ(run->stream.wire_bytes, base.stream.wire_bytes);
+  }
+  // Pacing holds each block back until its slot on the virtual clock.
+  for (std::size_t i = 0; i < paced_run.stream.blocks.size(); ++i) {
+    EXPECT_GE(paced_run.stream.blocks[i].submitted,
+              static_cast<double>(i) * paced.pace);
   }
 }
 

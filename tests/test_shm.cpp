@@ -592,19 +592,25 @@ TEST(ShmBroker, SharedFrameCountsOnceInUniqueMemoryAccounting) {
   constexpr int kSubs = 6;
   broker::FanoutBroker fan;
   std::vector<std::unique_ptr<CaptureTransport>> sinks;
+  std::vector<broker::SubscriberId> ids;
   for (int i = 0; i < kSubs; ++i) {
     sinks.push_back(std::make_unique<CaptureTransport>());
-    fan.subscribe(*sinks.back());
+    ids.push_back(fan.subscribe(*sinks.back()));
   }
   fan.publish(testdata::low_entropy(8 * 1024, 77));
   // No pump: every subscriber's egress still queues its frame, and every
-  // retransmit ring holds it too — 12 references, ONE buffer.
-  const std::size_t total = fan.memory_usage_total();
-  const std::size_t unique = fan.memory_usage_unique();
-  ASSERT_GT(unique, 0u);
-  // The per-reference ledger sees 2 * kSubs copies; the share-aware one
-  // must see exactly one buffer's worth.
-  EXPECT_EQ(total, unique * 2 * kSubs);
+  // retransmit ring holds it too — 12 references, ONE buffer. The share-
+  // aware ledger must charge exactly that one frame's bytes.
+  const std::uint64_t frame_bytes = fan.subscriber_stats(ids[0]).bytes;
+  ASSERT_GT(frame_bytes, 0u);
+  for (const broker::SubscriberId id : ids) {
+    ASSERT_EQ(fan.subscriber_stats(id).frames, 1u);
+    ASSERT_EQ(fan.subscriber_stats(id).bytes, frame_bytes);
+  }
+  EXPECT_EQ(fan.memory_usage_unique(), frame_bytes);
+  // Pumped: the egress queues let go, the rings still share the buffer.
+  fan.pump_all();
+  EXPECT_EQ(fan.memory_usage_unique(), frame_bytes);
 }
 
 TEST(ShmBroker, EgressQueuesShareOneBufferAcrossSubscribers) {
@@ -619,7 +625,10 @@ TEST(ShmBroker, EgressQueuesShareOneBufferAcrossSubscribers) {
   std::set<const void*> seen;
   const std::size_t unique = q1.bytes_unique(seen) + q2.bytes_unique(seen);
   EXPECT_EQ(unique, 500u + 300u);
-  EXPECT_EQ(q1.bytes() + q2.bytes(), 2 * 500u + 300u);
+  // Each queue on its own still holds every frame it was handed.
+  std::set<const void*> seen1, seen2;
+  EXPECT_EQ(q1.bytes_unique(seen1), 500u + 300u);
+  EXPECT_EQ(q2.bytes_unique(seen2), 500u);
 }
 
 // --------------------------------------------------------- obs mirrors
