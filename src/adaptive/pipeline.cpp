@@ -78,6 +78,7 @@ struct ReceiverMetrics {
   obs::Counter& resyncs;          ///< corrupt frames skipped, stream resumed
   obs::Counter& seq_rejected;     ///< sequences outside the gap window
   obs::Counter& nacks_issued;
+  obs::Gauge& abandoned;          ///< sum of nacks_abandoned()
   MethodHistograms decode_us;     ///< decode CPU per wire method
 };
 
@@ -107,6 +108,7 @@ ReceiverMetrics& receiver_metrics() {
                            r.counter("acex.adaptive.rx.resyncs"),
                            r.counter("acex.adaptive.rx.seq_rejected"),
                            r.counter("acex.adaptive.rx.nacks_issued"),
+                           r.gauge("acex.adaptive.rx.abandoned"),
                            MethodHistograms("acex.adaptive.rx.decode_us")};
   return m;
 }
@@ -666,47 +668,9 @@ StreamReport AdaptiveSender::run(ByteView data,
 
 AdaptiveReceiver::AdaptiveReceiver(transport::Transport& transport,
                                    ReceiverConfig config)
-    : transport_(&transport), config_(config) {
-  if (config_.nack_retry_cap <= 0) {
-    throw ConfigError("receiver: nack_retry_cap must be positive");
-  }
-  if (config_.gap_window == 0) {
-    throw ConfigError("receiver: gap_window must be positive");
-  }
-}
-
-bool AdaptiveReceiver::already_delivered(std::uint64_t seq) const noexcept {
-  return seq < next_contiguous_ || delivered_ahead_.count(seq) > 0;
-}
-
-void AdaptiveReceiver::mark_delivered(std::uint64_t seq) {
-  if (seq == next_contiguous_) {
-    ++next_contiguous_;
-    // Fold in any out-of-order deliveries the gap was holding back.
-    auto it = delivered_ahead_.begin();
-    while (it != delivered_ahead_.end() && *it == next_contiguous_) {
-      ++next_contiguous_;
-      it = delivered_ahead_.erase(it);
-    }
-  } else if (seq > next_contiguous_) {
-    delivered_ahead_.insert(seq);
-  }
-}
-
-std::vector<std::uint64_t> AdaptiveReceiver::current_gaps() const {
-  std::vector<std::uint64_t> gaps;
-  if (!any_seen_) return gaps;
-  // The window clamp in receive_report() keeps max_seen_ within gap_window
-  // of next_contiguous_; bounding the scan here as well makes the loop
-  // finite even for max_seen_ == UINT64_MAX, where `seq <= max_seen_`
-  // alone could never terminate.
-  for (std::uint64_t seq = next_contiguous_;
-       seq <= max_seen_ && seq - next_contiguous_ < config_.gap_window;
-       ++seq) {
-    if (delivered_ahead_.count(seq) == 0) gaps.push_back(seq);
-  }
-  return gaps;
-}
+    : transport_(&transport),
+      config_(config),
+      window_(config.nack_retry_cap, config.gap_window) {}
 
 ReceiveReport AdaptiveReceiver::receive_report() {
   ReceiveReport report;
@@ -723,23 +687,17 @@ ReceiveReport AdaptiveReceiver::receive_report() {
     try {
       const Frame frame = frame_parse(*message);
       outcome.method = frame.method;
-      if (frame.has_sequence && frame.sequence > next_contiguous_ &&
-          frame.sequence - next_contiguous_ >= config_.gap_window) {
-        // The 1-byte header checksum is weak: a corrupt sequence varint can
-        // slip through, and folding it into max_seen_ would open an
-        // effectively unbounded gap range. Real traffic never runs this far
-        // ahead of delivery (the sender's retransmit ring is far smaller).
+      if (frame.has_sequence && window_.implausible(frame.sequence)) {
+        // A corrupt varint that the weak 1-byte header checksum let by.
         metrics.seq_rejected.add(1);
         throw DecodeError("frame: sequence implausibly far ahead");
       }
       outcome.sequence = frame.sequence;
       outcome.has_sequence = frame.has_sequence;
-      if (frame.has_sequence) {
-        max_seen_ = any_seen_ ? std::max(max_seen_, frame.sequence)
-                              : frame.sequence;
-        any_seen_ = true;
-      }
-      if (frame.has_sequence && already_delivered(frame.sequence)) {
+      // A valid header opens its gap even if the payload fails to decode:
+      // the damaged block is then NACKed like a dropped one.
+      if (frame.has_sequence) window_.accept(frame.sequence);
+      if (frame.has_sequence && window_.done(frame.sequence)) {
         outcome.status = FrameOutcome::Status::kDuplicate;
       } else {
         const obs::ScopedSpan span(
@@ -750,7 +708,7 @@ ReceiveReport AdaptiveReceiver::receive_report() {
         const double elapsed = sw.elapsed();
         decompress_seconds_ += elapsed;
         metrics.decode_us.for_method(frame.method).record(elapsed * 1e6);
-        if (frame.has_sequence) mark_delivered(frame.sequence);
+        if (frame.has_sequence) window_.deliver(frame.sequence);
         outcome.status = FrameOutcome::Status::kOk;
       }
     } catch (const Error& error) {
@@ -802,7 +760,7 @@ ReceiveReport AdaptiveReceiver::receive_report() {
     report.bytes_recovered += outcome->data.size();
   }
   report.frames_ok = intact.size();
-  report.gaps = current_gaps();
+  report.gaps = window_.gaps();
 
   frames_ += report.frames_ok;
   frames_corrupt_ += report.frames_corrupt;
@@ -812,6 +770,7 @@ ReceiveReport AdaptiveReceiver::receive_report() {
   metrics.frames_corrupt.add(report.frames_corrupt);
   metrics.frames_duplicate.add(report.frames_duplicate);
   metrics.bytes_recovered.add(report.bytes_recovered);
+  publish_abandoned();
   return report;
 }
 
@@ -820,28 +779,18 @@ Bytes AdaptiveReceiver::receive_available() {
 }
 
 std::vector<std::uint64_t> AdaptiveReceiver::take_nacks() {
-  std::vector<std::uint64_t> out;
-  if (config_.policy != RecoveryPolicy::kNack) return out;
-  // Attempt records below the delivery cursor are settled (the sequence
-  // arrived after all); dropping them keeps the map bounded by the window.
-  nack_attempts_.erase(nack_attempts_.begin(),
-                       nack_attempts_.lower_bound(next_contiguous_));
-  for (const std::uint64_t seq : current_gaps()) {
-    int& attempts = nack_attempts_[seq];
-    if (attempts >= config_.nack_retry_cap) continue;  // lost for good
-    ++attempts;
-    out.push_back(seq);
-  }
+  if (config_.policy != RecoveryPolicy::kNack) return {};
+  std::vector<std::uint64_t> out = window_.take_nacks();
   receiver_metrics().nacks_issued.add(out.size());
+  publish_abandoned();
   return out;
 }
 
-std::size_t AdaptiveReceiver::nacks_abandoned() const noexcept {
-  std::size_t lost = 0;
-  for (const auto& [seq, attempts] : nack_attempts_) {
-    if (attempts >= config_.nack_retry_cap && !already_delivered(seq)) ++lost;
-  }
-  return lost;
+void AdaptiveReceiver::publish_abandoned() {
+  // A gauge: a late copy of a given-up sequence takes it back.
+  const auto now = static_cast<std::int64_t>(window_.abandoned());
+  receiver_metrics().abandoned.add(now - abandoned_published_);
+  abandoned_published_ = now;
 }
 
 }  // namespace acex::adaptive

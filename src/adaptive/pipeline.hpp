@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "compress/registry.hpp"
 #include "engine/thread_pool.hpp"
 #include "netsim/bandwidth.hpp"
+#include "transport/receive_window.hpp"
 #include "transport/retransmit.hpp"
 #include "transport/transport.hpp"
 
@@ -429,12 +429,9 @@ struct ReceiverConfig {
   /// kNack: how many times one missing sequence may be requested before
   /// the receiver gives it up as lost.
   int nack_retry_cap = 3;
-  /// A v2 frame whose sequence lies further than this ahead of the next
-  /// undelivered sequence is rejected as corrupt. The 1-byte header
-  /// checksum lets ~1/256 of random corruptions through, and one forged
-  /// sequence near UINT64_MAX would otherwise make gap tracking scan an
-  /// astronomical range. Keep it >= the sender's retransmit_capacity —
-  /// sequences past the window could never be replayed anyway.
+  /// A v2 sequence this far or further past the cursor is rejected as
+  /// corrupt, and a gap the stream runs half this far past is settled
+  /// (transport::ReceiveWindow): keep it >= 2 x retransmit_capacity.
   std::uint64_t gap_window = 1024;
 };
 
@@ -466,7 +463,7 @@ struct ReceiveReport {
   Bytes data;
   std::vector<FrameOutcome> frames;
   /// Sequence numbers believed missing after this drain: dropped upstream,
-  /// corrupted beyond use, or still in flight.
+  /// corrupted beyond use, or still in flight; never a given-up one.
   std::vector<std::uint64_t> gaps;
   std::size_t frames_ok = 0;
   std::size_t frames_corrupt = 0;
@@ -496,15 +493,18 @@ class AdaptiveReceiver {
 
   /// kNack: sequences to request from the sender, respecting the retry
   /// cap; each call counts one attempt against every sequence returned.
-  /// Empty when nothing is missing or everything missing is past the cap.
+  /// Gaps past the cap are given up instead (nacks_abandoned()).
   std::vector<std::uint64_t> take_nacks();
 
-  /// Missing sequences the NACK retry cap has exhausted — lost for good.
-  std::size_t nacks_abandoned() const noexcept;
+  /// Sequences given up or settled without delivery (ReceiveWindow).
+  std::size_t nacks_abandoned() const noexcept { return window_.abandoned(); }
+  const transport::ReceiveWindow& window() const noexcept { return window_; }
 
-  /// The lowest sequence not yet delivered contiguously — what a session
+  /// The lowest sequence neither delivered nor settled — what a session
   /// resume asks the sender to replay from (`resume_from`).
-  std::uint64_t next_expected() const noexcept { return next_contiguous_; }
+  std::uint64_t next_expected() const noexcept {
+    return window_.next_expected();
+  }
 
   /// Point this receiver at a new transport, keeping every piece of
   /// sequence/gap/NACK state. A reconnecting session client rebinds its
@@ -532,9 +532,7 @@ class AdaptiveReceiver {
   CodecRegistry& registry() noexcept { return registry_; }
 
  private:
-  bool already_delivered(std::uint64_t seq) const noexcept;
-  void mark_delivered(std::uint64_t seq);
-  std::vector<std::uint64_t> current_gaps() const;
+  void publish_abandoned();
 
   transport::Transport* transport_;
   ReceiverConfig config_;
@@ -545,13 +543,8 @@ class AdaptiveReceiver {
   std::uint64_t bytes_recovered_ = 0;
   Seconds decompress_seconds_ = 0;
 
-  // Sequence tracking (v2 frames): everything below next_contiguous_ is
-  // delivered; delivered_ahead_ holds out-of-order deliveries above it.
-  std::uint64_t next_contiguous_ = 0;
-  std::set<std::uint64_t> delivered_ahead_;
-  std::uint64_t max_seen_ = 0;   ///< highest sequence observed on the wire
-  bool any_seen_ = false;
-  std::map<std::uint64_t, int> nack_attempts_;
+  transport::ReceiveWindow window_;  ///< v2 sequence tracking
+  std::int64_t abandoned_published_ = 0;
 };
 
 }  // namespace acex::adaptive

@@ -1,10 +1,9 @@
 #pragma once
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "echo/channel.hpp"
+#include "transport/receive_window.hpp"
 #include "transport/retransmit.hpp"
 #include "transport/transport.hpp"
 
@@ -76,19 +75,14 @@ class ChannelSender {
 /// Consumer side. Call poll() to pull remote events into the local
 /// channel; use signal_control() to send quality attributes upstream.
 ///
-/// The receiver tracks bridge sequence numbers: duplicates are dropped,
-/// and gaps — dropped upstream, or corrupted so the sequence cannot be
-/// trusted — are recorded as missing once later sequences arrive.
-/// signal_nacks() requests them again over the control path; sequences
-/// past the retry cap are abandoned AND settled — the delivery cursor
-/// skips them so one unrecoverable event cannot wedge the gap window
-/// (and with it all later traffic) forever.
+/// Bridge sequence numbers are tracked in a transport::ReceiveWindow:
+/// duplicates are dropped, and gaps (dropped upstream, or corrupted so the
+/// sequence cannot be trusted) are NACKed by signal_nacks() over the
+/// control path until the window gives them up (events_abandoned()).
 class ChannelReceiver {
  public:
-  /// `gap_window` bounds how far ahead of the delivery cursor a wire
-  /// sequence may claim to be before it is rejected as corrupt (the
-  /// varint has no integrity check of its own); keep it >= the sender's
-  /// ring_capacity — anything further ahead could never be replayed.
+  /// `nack_retry_cap` and `gap_window` as in adaptive::ReceiverConfig:
+  /// keep `gap_window` >= 2 x the sender's ring_capacity.
   ChannelReceiver(EventChannel& channel, transport::Transport& transport,
                   int nack_retry_cap = 3, std::uint64_t gap_window = 1024);
 
@@ -111,34 +105,25 @@ class ChannelReceiver {
   std::size_t signal_nacks();
 
   /// Sequences currently believed missing (for diagnostics and tests).
-  std::vector<std::uint64_t> missing() const;
+  std::vector<std::uint64_t> missing() const { return window_.gaps(); }
 
   std::uint64_t events_received() const noexcept { return received_; }
   std::uint64_t duplicates_dropped() const noexcept { return duplicates_; }
   std::uint64_t corrupt_dropped() const noexcept { return corrupt_; }
   std::uint64_t nacks_signalled() const noexcept { return nacks_signalled_; }
-  /// Sequences given up on after the retry cap and skipped past.
-  std::uint64_t events_abandoned() const noexcept { return abandoned_; }
+  /// Sequences given up or settled without delivery.
+  std::uint64_t events_abandoned() const noexcept {
+    return window_.abandoned();
+  }
 
  private:
-  bool already_delivered(std::uint64_t seq) const noexcept;
-  void mark_delivered(std::uint64_t seq);
-
   EventChannel* channel_;
   transport::Transport* transport_;
   std::uint64_t received_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t corrupt_ = 0;
   std::uint64_t nacks_signalled_ = 0;
-  std::uint64_t abandoned_ = 0;
-  int nack_retry_cap_;
-  std::uint64_t gap_window_;
-
-  std::uint64_t next_contiguous_ = 0;
-  std::set<std::uint64_t> delivered_ahead_;
-  std::uint64_t max_seen_ = 0;
-  bool any_seen_ = false;
-  std::map<std::uint64_t, int> nack_attempts_;
+  transport::ReceiveWindow window_;
 };
 
 }  // namespace acex::echo

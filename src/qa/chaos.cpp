@@ -368,17 +368,18 @@ struct ChaosSoak {
         violate("chaos: NACK traffic did not converge on a healed link");
       }
       const std::uint64_t published_while = crcs.size() - peer->joined_at;
-      const std::size_t gaps =
-          peer->client->receiver()->receive_report().gaps.size();
-      if (peer->recovered.size() + gaps != published_while) {
+      adaptive::AdaptiveReceiver* rx = peer->client->receiver();
+      const std::size_t lost =
+          rx->receive_report().gaps.size() + rx->nacks_abandoned();
+      if (peer->recovered.size() + lost != published_while) {
         violate("chaos: accounting leak: " +
                 std::to_string(peer->recovered.size()) + " recovered + " +
-                std::to_string(gaps) + " gaps != " +
+                std::to_string(lost) + " gaps or abandoned != " +
                 std::to_string(published_while) + " published while joined");
       }
-      if (gaps != 0) {
-        violate("chaos: session ended with " + std::to_string(gaps) +
-                " permanent gaps — resume fidelity broken");
+      if (lost != 0) {
+        violate("chaos: session ended with " + std::to_string(lost) +
+                " gaps or abandoned frames — resume fidelity broken");
       }
       report.delivered += peer->recovered.size();
       if (peer->kills < config.min_kills) {

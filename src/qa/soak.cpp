@@ -277,16 +277,17 @@ struct BrokerSoak {
     std::uint64_t live_abandoned = 0;
     for (auto& sub : subs) {
       const std::uint64_t published_while = crcs.size() - sub->joined_at;
-      const std::size_t gaps = sub->rx->receive_report().gaps.size();
-      if (sub->recovered.size() + gaps != published_while) {
+      const std::size_t lost = sub->rx->receive_report().gaps.size() +
+                               sub->rx->nacks_abandoned();
+      if (sub->recovered.size() + lost != published_while) {
         violate("broker: accounting leak: " +
                 std::to_string(sub->recovered.size()) + " recovered + " +
-                std::to_string(gaps) + " gaps != " +
+                std::to_string(lost) + " gaps or abandoned != " +
                 std::to_string(published_while) +
                 " published while subscribed");
       }
       live_recovered += sub->recovered.size();
-      live_abandoned += gaps;
+      live_abandoned += lost;
       accumulate_faults(*sub);
     }
 
@@ -590,7 +591,8 @@ SoakReport run_soak(const SoakConfig& config) {
   report.blocks_sent = block_crc.size();
   report.blocks_recovered = recovered.size();
   const adaptive::ReceiveReport final_drain = eng_rx.receive_report();
-  report.blocks_abandoned = final_drain.gaps.size();
+  report.blocks_abandoned =
+      eng_rx.nacks_abandoned() + final_drain.gaps.size();
   if (report.blocks_recovered + report.blocks_abandoned !=
       report.blocks_sent) {
     violate("engine: accounting leak: " +
@@ -598,8 +600,12 @@ SoakReport run_soak(const SoakConfig& config) {
             std::to_string(report.blocks_abandoned) + " abandoned != " +
             std::to_string(report.blocks_sent) + " sent");
   }
-  if (eng_rx.nacks_abandoned() < report.blocks_abandoned) {
-    violate("engine: a gap survives that never exhausted its retry cap");
+  // Every abandoned block spent its NACK budget: none is still a gap, and
+  // none was settled by distance before a NACK round gave it up.
+  if (!final_drain.gaps.empty() || eng_rx.window().outrun() != 0) {
+    violate("engine: " + std::to_string(final_drain.gaps.size()) +
+            " gaps survive and " + std::to_string(eng_rx.window().outrun()) +
+            " were settled before exhausting their retry cap");
   }
 
   // Fault-counter identity on both injectors, and the obs mirror.

@@ -18,6 +18,7 @@
 #include "compress/null_codec.hpp"
 #include "echo/bridge.hpp"
 #include "netsim/link.hpp"
+#include "obs/metrics.hpp"
 #include "testdata.hpp"
 #include "transport/fault_transport.hpp"
 #include "transport/retransmit.hpp"
@@ -354,6 +355,57 @@ TEST_F(FaultTest, NackPolicyRespectsRetryCap) {
   EXPECT_EQ(rx.take_nacks(), (std::vector<std::uint64_t>{1}));
   EXPECT_TRUE(rx.take_nacks().empty());  // cap reached: given up
   EXPECT_EQ(rx.nacks_abandoned(), 1u);
+}
+
+TEST_F(FaultTest, OneUnrecoverableFrameNeverWedgesTheReceiver) {
+  // Seq 5 never arrives and has left the sender's 64-frame ring before the
+  // first NACK. Unless the receiver settles it, the cursor stays at 5 and
+  // every frame from 5 + gap_window on is rejected as implausibly far
+  // ahead. It settles once the stream runs gap_window / 2 past it.
+  constexpr std::uint64_t kFrames = 1499, kLost = 5;
+  for (const adaptive::RecoveryPolicy policy :
+       {adaptive::RecoveryPolicy::kSkip, adaptive::RecoveryPolicy::kNack}) {
+    wire();
+    NullCodec null;
+    transport::RetransmitRing ring(64, 3);
+    adaptive::AdaptiveReceiver rx(duplex_->b(), {policy, 3});
+    const obs::Gauge& abandoned_series =
+        obs::MetricsRegistry::global().gauge("acex.adaptive.rx.abandoned");
+    const std::int64_t series_before = abandoned_series.value();
+    std::size_t refused = 0;
+    for (std::uint64_t seq = 0; seq < kFrames; ++seq) {
+      Bytes wire = frame_compress_seq(
+          null, Bytes{static_cast<std::uint8_t>(seq), 7}, seq);
+      if (seq != kLost) duplex_->a().send(wire);
+      ring.store(seq, std::move(wire));
+      if (seq % 100 != 99 && seq + 1 != kFrames) continue;
+      (void)rx.receive_report();
+      for (const std::uint64_t nack : rx.take_nacks()) {
+        if (const BufferView* replay = ring.replay(nack)) {
+          duplex_->a().send(*replay);
+        } else {
+          ++refused;
+        }
+      }
+    }
+    (void)rx.receive_report();
+    EXPECT_EQ(rx.frames_received(), kFrames - 1);
+    EXPECT_EQ(rx.frames_corrupt(), 0u);
+    EXPECT_EQ(rx.nacks_abandoned(), 1u);
+    EXPECT_EQ(abandoned_series.value() - series_before, 1);
+    EXPECT_EQ(rx.next_expected(), kFrames);
+    EXPECT_TRUE(rx.take_nacks().empty());
+    if (policy == adaptive::RecoveryPolicy::kNack) {
+      EXPECT_EQ(refused, 3u);  // the whole retry budget went to seq 5
+    }
+
+    // A straggling copy of the settled frame is a duplicate, not a block.
+    duplex_->a().send(*ring.peek(kFrames - 1));
+    duplex_->a().send(frame_compress_seq(null, Bytes{kLost, 7}, kLost));
+    const adaptive::ReceiveReport late = rx.receive_report();
+    EXPECT_EQ(late.frames_duplicate, 2u);
+    EXPECT_EQ(late.frames_ok, 0u);
+  }
 }
 
 // ------------------------------------- sender degradation + breaker

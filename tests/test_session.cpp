@@ -525,6 +525,139 @@ TEST(SessionResume, DowngradesToRestartWhenTheRingEvictedTheGap) {
   EXPECT_EQ(manager.counters().restarts, 2u);
 }
 
+/// Forwards every message except the `drop_index`-th one sent through it.
+class DropOneTransport final : public transport::Transport {
+ public:
+  DropOneTransport(transport::Transport& inner, std::uint64_t drop_index)
+      : inner_(&inner), drop_index_(drop_index) {}
+  void send(ByteView message) override {
+    if (sent_++ != drop_index_) inner_->send(message);
+  }
+  std::optional<Bytes> receive() override { return inner_->receive(); }
+  const Clock& clock() const override { return inner_->clock(); }
+
+ private:
+  transport::Transport* inner_;
+  std::uint64_t drop_index_;
+  std::uint64_t sent_ = 0;
+};
+
+/// A live session over a link that loses frame 1 in transit, with a
+/// 4-frame ring and a receiver whose gap window is 16 (so a gap settles
+/// once the stream runs 8 past it), plus helpers to publish and drain.
+struct LossySession {
+  LossySession() {
+    SessionConfig sc = quick_session();
+    sc.subscriber.adaptive.decision.block_size = 4096;
+    sc.subscriber.adaptive.retransmit_capacity = 4;
+    cr = manager.connect(lossy, sc);
+    client.on_connected(cr.session_id, cr.token, ep->duplex.b(),
+                        cr.heartbeat_interval);
+  }
+
+  void publish(int n) {
+    for (int i = 0; i < n; ++i) {
+      blocks.push_back(testdata::low_entropy(2048, blocks.size()));
+      manager.publish(blocks.back());
+    }
+  }
+  void drain() {
+    for (int i = 0; i < 8; ++i) {
+      manager.pump(cr.session_id);
+      clock.advance(0.05);
+      for (adaptive::FrameOutcome& f :
+           client.receiver()->receive_report().frames) {
+        if (f.status != adaptive::FrameOutcome::Status::kOk) continue;
+        EXPECT_TRUE(got.emplace(f.sequence, std::move(f.data)).second);
+      }
+    }
+  }
+  /// NACK rounds the sender cannot answer yet (a replay stuck behind a
+  /// backlog, or a frame the ring evicted), until the receiver stops.
+  int unanswered_nack_rounds() {
+    int rounds = 0;
+    while (!client.receiver()->take_nacks().empty() && rounds < 8) {
+      ++rounds;
+      drain();
+    }
+    return rounds;
+  }
+
+  VirtualClock clock;
+  SessionManager manager{clock};
+  std::unique_ptr<SimEndpoint> ep = std::make_unique<SimEndpoint>(clock, 1e6, 5);
+  DropOneTransport lossy{ep->duplex.a(), 1};
+  SessionClient client{
+      clock, ClientConfig{.receiver = {adaptive::RecoveryPolicy::kNack, 3, 16}}};
+  ConnectResult cr;
+  std::vector<Bytes> blocks;
+  std::map<std::uint64_t, Bytes> got;
+};
+
+TEST(SessionResume, ALateReplayPastTheRetryBudgetIsStillDelivered) {
+  // Every NACK round for frame 1 goes unanswered while the receiver polls
+  // on; its replay then arrives after the receiver gave it up.
+  LossySession s;
+  s.publish(4);
+  s.drain();
+  EXPECT_EQ(s.unanswered_nack_rounds(), 3);  // the whole retry budget
+  EXPECT_EQ(s.client.receiver()->nacks_abandoned(), 1u);
+  EXPECT_TRUE(s.client.receiver()->receive_report().gaps.empty());
+
+  EXPECT_EQ(s.manager.retransmit(s.cr.session_id, {1}), 1u);
+  s.drain();
+  ASSERT_EQ(s.got.count(1), 1u);
+  EXPECT_EQ(s.got.at(1), s.blocks[1]);
+  EXPECT_EQ(s.client.receiver()->nacks_abandoned(), 0u);
+  EXPECT_EQ(s.client.resume_from(), 4u);
+  EXPECT_EQ(s.client.receiver()->frames_duplicate(), 0u);
+}
+
+TEST(SessionResume, ResumesPastAFrameLostForGood) {
+  // Frame 1 vanishes and the 4-frame ring has evicted it by the first
+  // NACK. Once the stream runs half the gap window past it the receiver
+  // settles it, so the resume cursor moves past it and a kill/resume
+  // continues the stream instead of degrading to a restart over a frame
+  // nobody can replay.
+  LossySession s;
+  s.publish(8);
+  s.drain();
+  EXPECT_EQ(s.client.receiver()->receive_report().gaps,
+            (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(s.unanswered_nack_rounds(), 3);  // every NACK refused: evicted
+  EXPECT_EQ(s.client.receiver()->nacks_abandoned(), 1u);
+  EXPECT_EQ(s.client.resume_from(), 1u);  // given up, not settled yet
+
+  s.publish(2);  // seq 9 lands 8 past seq 1: settled
+  s.drain();
+  EXPECT_EQ(s.client.receiver()->nacks_abandoned(), 1u);
+  EXPECT_EQ(s.client.resume_from(), 10u);
+
+  // Kill the link; three blocks land in the ring while the session is
+  // parked; resume on a brand-new endpoint from past the settled frame.
+  s.client.on_dropped();
+  ASSERT_TRUE(s.manager.disconnect(s.cr.session_id));
+  s.publish(3);
+  auto ep2 = std::make_unique<SimEndpoint>(s.clock, 1e6, 17);
+  const ResumeResult rr =
+      s.manager.resume(s.cr.session_id, s.cr.token, s.client.resume_from(),
+                       ep2->duplex.a());
+  ASSERT_EQ(rr.status, ResumeResult::Status::kResumed) << rr.reason;
+  EXPECT_EQ(rr.replayed, 3u);
+  s.client.on_resumed(ep2->duplex.b(), s.cr.token);
+  s.ep.reset();
+  s.drain();
+
+  ASSERT_EQ(s.got.size(), s.blocks.size() - 1);
+  EXPECT_EQ(s.got.count(1), 0u);
+  for (const auto& [seq, data] : s.got) {
+    ASSERT_LT(seq, s.blocks.size());
+    EXPECT_EQ(data, s.blocks[seq]) << "block " << seq;
+  }
+  EXPECT_EQ(s.client.receiver()->frames_duplicate(), 0u);
+  EXPECT_EQ(s.client.resume_from(), s.blocks.size());
+}
+
 TEST(SessionResume, ExpiredSessionGetsRestartNotResume) {
   VirtualClock clock;
   SessionManager manager(clock);

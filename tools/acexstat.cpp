@@ -611,7 +611,27 @@ int run_chaos_stat(const Options& opt) {
   return 0;
 }
 
+/// Swallows the first frame sent through it: the NACK demo's one
+/// deliberately unrecoverable frame (seq 0).
+class WithholdFirst final : public transport::Transport {
+ public:
+  explicit WithholdFirst(transport::Transport& inner) : inner_(&inner) {}
+  void send(ByteView message) override {
+    if (withheld_) inner_->send(message);
+    withheld_ = true;
+  }
+  std::optional<Bytes> receive() override { return inner_->receive(); }
+  const Clock& clock() const override { return inner_->clock(); }
+
+ private:
+  transport::Transport* inner_;
+  bool withheld_ = false;
+};
+
 int run(const Options& opt) {
+  if (opt.blocks < 2) {
+    throw ConfigError("-n must be >= 2: the NACK demo withholds one frame");
+  }
   // Scope every series to this run (the instruments themselves are
   // process-wide and permanent; only the values reset).
   obs::MetricsRegistry::global().reset_values();
@@ -629,15 +649,19 @@ int run(const Options& opt) {
   faults.reorder_prob = 0.02;
   faults.seed = opt.seed;
   transport::FaultInjectingTransport lossy(duplex.a(), faults);
+  WithholdFirst withhold(lossy);
 
   adaptive::AdaptiveConfig config;
   config.async_sampling = false;  // deterministic
   config.decision.block_size = opt.block_kib * 1024;
   config.decision.sample_size = std::min<std::size_t>(1024, opt.block_kib * 1024);
   config.worker_threads = opt.workers;
-  config.retransmit_capacity = opt.blocks + 8;  // keep every frame replayable
+  // Every frame but the withheld seq 0 stays replayable: the ring is one
+  // short of the stream, so seq 0 is evicted before the first NACK and
+  // the receiver gives it up once the retry cap is spent.
+  config.retransmit_capacity = opt.blocks - 1;
   config.retransmit_max_retries = 4;
-  adaptive::AdaptiveSender sender(lossy, config);
+  adaptive::AdaptiveSender sender(withhold, config);
   adaptive::AdaptiveReceiver rx(duplex.b(),
                                 {adaptive::RecoveryPolicy::kNack, 4});
 
@@ -694,6 +718,12 @@ int run(const Options& opt) {
   check_eq("rx.nacks_issued",
            counter_value(snapshot, "acex.adaptive.rx.nacks_issued"),
            nacks_issued, failures);
+  check_eq("rx.abandoned",
+           static_cast<std::uint64_t>(obs::MetricsRegistry::global()
+                                          .gauge("acex.adaptive.rx.abandoned")
+                                          .value()),
+           rx.nacks_abandoned(), failures);
+  check_eq("rx.abandoned.truth", rx.nacks_abandoned(), 1, failures);
   check_eq("tx.retransmits",
            counter_value(snapshot, "acex.adaptive.retransmits"),
            sender.degradation().retransmits, failures);
@@ -715,9 +745,11 @@ int run(const Options& opt) {
   std::printf("acexstat: %zu blocks x %zu KiB, %zu workers, seed %llu\n",
               opt.blocks, opt.block_kib, sender.worker_count(),
               static_cast<unsigned long long>(opt.seed));
-  std::printf("recovered %zu/%zu blocks, %llu NACKs issued\n\n",
+  std::printf("recovered %zu/%zu blocks, %llu NACKs issued, %zu abandoned "
+              "(seq 0, withheld)\n\n",
               recovered.size(), stream.blocks.size(),
-              static_cast<unsigned long long>(nacks_issued));
+              static_cast<unsigned long long>(nacks_issued),
+              rx.nacks_abandoned());
   std::fputs(obs::to_text(snapshot).c_str(), stdout);
 
   // Per-stage span digest: the block lifecycle at a glance.
