@@ -232,12 +232,16 @@ TEST(Experiment, MethodsEscalateWithRisingLoad) {
   // ramps. Needs the paper's CPU-to-link ratio: emulate a Sun-Fire-class
   // host (LZ reducing speed ~3.5 MB/s) against the 100 Mb link.
   workloads::TransactionGenerator gen(11);
-  const Bytes data = gen.text_block(4 * 1024 * 1024);
+  const Bytes data = gen.text_block(6 * 1024 * 1024);
 
   ExperimentConfig config;
   // Quiet (0 connections) -> moderate (60: link at ~40 %) -> saturated
-  // (95: link at its 5 % floor). Step times are tuned to the virtual
-  // timeline: raw 128 KiB blocks leave every ~20 ms on the quiet link.
+  // (95: link at its 5 % floor). Raw 128 KiB blocks leave every ~20 ms on
+  // the quiet link, so the quiet phase covers about the first 15 blocks.
+  // Each block's encode + CRC time also advances the virtual clock, so a
+  // cheaper block reaches t = 0.8 s later in the stream; the 48-block
+  // stream leaves BW room to catch up on the saturated link whatever the
+  // per-block CPU cost.
   config.background = netsim::LoadTrace({{0, 0}, {0.3, 60}, {0.8, 95}});
   config.link.jitter_frac = 0.0;
   config.adaptive.async_sampling = false;
