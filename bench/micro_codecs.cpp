@@ -1,6 +1,6 @@
 // google-benchmark microbenches: per-codec compress/decompress throughput
 // on the two paper datasets, the BWT/MTF/RLE pipeline stages and the
-// per-block fixed costs (frame CRC, §2.5 sample). These
+// per-block fixed costs (frame CRC, §2.5 sample, one LZ77 pass). These
 // are the steady-state numbers behind Figs. 3 and 4 with benchmark-grade
 // statistics (run with --benchmark_repetitions=... for confidence
 // intervals).
@@ -10,6 +10,7 @@
 #include "adaptive/sampler.hpp"
 #include "bench_common.hpp"
 #include "compress/bwt.hpp"
+#include "compress/lz77.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "util/crc32.hpp"
@@ -94,6 +95,16 @@ void BM_Crc32(benchmark::State& state, std::size_t bytes) {
                           static_cast<std::int64_t>(block.size()));
 }
 
+void BM_LzCompress(benchmark::State& state, std::size_t bytes) {
+  LempelZivCodec codec;
+  const ByteView block = ByteView(commercial()).subspan(0, bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec.compress(block));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+
 void BM_Sample(benchmark::State& state, std::size_t bytes) {
   const adaptive::Sampler sampler(bytes);
   const ByteView block = ByteView(commercial()).subspan(0, bytes);
@@ -133,6 +144,11 @@ int main(int argc, char** argv) {
                                std::size_t{16 * 1024});
   benchmark::RegisterBenchmark("stage/sample_4K", BM_Sample,
                                std::size_t{4 * 1024});
+  // One sampler pass, and one codec-default chunk.
+  benchmark::RegisterBenchmark("stage/lz77_compress_4K", BM_LzCompress,
+                               std::size_t{4 * 1024});
+  benchmark::RegisterBenchmark("stage/lz77_compress_128K", BM_LzCompress,
+                               std::size_t{128 * 1024});
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -189,7 +189,7 @@ Bytes ArithmeticCodec::compress(ByteView input) {
   if (input.empty()) return out;
 
   arith::AdaptiveByteModel model;
-  BitWriter bw;
+  BitWriter bw(std::move(out));
   arith::Encoder enc(bw);
   for (const std::uint8_t byte : input) {
     const std::uint32_t lo = model.cum_below(byte);
@@ -198,8 +198,7 @@ Bytes ArithmeticCodec::compress(ByteView input) {
     model.update(byte);
   }
   enc.finish();
-  bw.take_into(out);
-  return out;
+  return bw.take();
 }
 
 Bytes ArithmeticCodec::decompress(ByteView input) {

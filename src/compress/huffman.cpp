@@ -182,12 +182,12 @@ Bytes HuffmanCodec::compress(ByteView input) {
   for (const auto b : input) ++freqs[b];
 
   const auto lengths = huff::build_code_lengths(freqs);
-  BitWriter bw;
+  BitWriter bw(std::move(out));
+  bw.reserve(256 + input.size());  // length header plus ~1 byte per byte
   huff::write_lengths(bw, lengths);
   const huff::Encoder enc(lengths);
   for (const auto b : input) enc.encode(bw, b);
-  bw.take_into(out);
-  return out;
+  return bw.take();
 }
 
 Bytes HuffmanCodec::decompress(ByteView input) {

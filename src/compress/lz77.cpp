@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cstring>
+#include <limits>
 
 #include "compress/huffman.hpp"
 #include "util/bitstream.hpp"
@@ -16,7 +18,7 @@ namespace {
 
 constexpr unsigned kHashBits = 15;
 constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;
-constexpr std::int32_t kNil = -1;
+constexpr std::size_t kMaxWindow = std::size_t{1} << 16;
 
 std::uint32_t hash3(const std::uint8_t* p) noexcept {
   const std::uint32_t v = (static_cast<std::uint32_t>(p[0]) << 16) |
@@ -24,22 +26,89 @@ std::uint32_t hash3(const std::uint8_t* p) noexcept {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-/// Hash-chain index over the input. head_ maps a 3-byte hash to the most
-/// recent position; prev_ chains positions with equal hashes backwards.
+std::uint64_t load64(const std::uint8_t* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Length of the common prefix of `a` and `b`, capped at `max_len`;
+/// compares eight bytes per step.
+std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t max_len) noexcept {
+  std::size_t len = 0;
+  for (; len + 8 <= max_len; len += 8) {
+    const std::uint64_t diff = load64(a + len) ^ load64(b + len);
+    if (diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return len + static_cast<std::size_t>(bit / 8);
+    }
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// Hash-chain tables, kept per thread and reused by every call on it, so a
+/// call allocates and clears nothing. Positions are stored as `base + i`:
+/// each call claims a fresh range of that number space, so every entry left
+/// by an earlier call sits below the current `base` and ends a chain exactly
+/// where a cleared table would have (0 is below every base).
+struct ChainTables {
+  /// The first base. Bases start a full window above 0 so that following a
+  /// saturated link (below) never wraps around.
+  static constexpr std::uint32_t kFirstBase = kMaxWindow + 1;
+
+  std::vector<std::uint32_t> head = std::vector<std::uint32_t>(kHashSize, 0);
+  /// Chain links as (distance to the previous position with this hash) - 1,
+  /// saturated at 64 KiB, which is past every window. Indexed by position
+  /// modulo the table's power-of-two size, at least min(input size, 64 KiB):
+  /// a link is overwritten only by a position a full window later, after
+  /// its own position has left the window.
+  std::vector<std::uint16_t> prev;
+  std::uint32_t next_base = kFirstBase;
+};
+
+ChainTables& thread_tables() {
+  thread_local ChainTables tables;
+  return tables;
+}
+
+/// Hash-chain index over one input. head maps a 3-byte hash to the most
+/// recent position; prev chains positions with equal hashes backwards.
 class Matcher {
  public:
-  Matcher(ByteView input, const Params& params)
+  Matcher(ByteView input, const Params& params, ChainTables& tables)
       : in_(input),
         window_(std::size_t{1} << std::min(params.window_bits, 16u)),
-        max_chain_(params.max_chain),
-        head_(kHashSize, kNil),
-        prev_(input.size(), kNil) {}
+        max_chain_(params.max_chain) {
+    const std::size_t n = input.size();
+    constexpr auto kPositions = std::numeric_limits<std::uint32_t>::max();
+    if (n > kPositions - ChainTables::kFirstBase) {
+      throw ConfigError("lz: input exceeds 4 GiB");
+    }
+    if (n > kPositions - tables.next_base) {
+      // The position space is used up: clear once and start over.
+      std::fill(tables.head.begin(), tables.head.end(), 0u);
+      tables.next_base = ChainTables::kFirstBase;
+    }
+    base_ = tables.next_base;
+    tables.next_base += static_cast<std::uint32_t>(n);
+    const std::size_t links = std::bit_ceil(std::min(n, kMaxWindow));
+    if (tables.prev.size() < links) tables.prev.resize(links);
+    head_ = tables.head.data();
+    prev_ = tables.prev.data();
+    prev_mask_ = tables.prev.size() - 1;
+  }
 
   /// Register position `i` in the chains (requires i + 3 <= input size).
   void insert(std::size_t i) noexcept {
-    const std::uint32_t h = hash3(in_.data() + i);
-    prev_[i] = head_[h];
-    head_[h] = static_cast<std::int32_t>(i);
+    const std::uint32_t pos = base_ + static_cast<std::uint32_t>(i);
+    std::uint32_t& head = head_[hash3(in_.data() + i)];
+    const std::uint32_t dist = std::min<std::uint32_t>(pos - head, kMaxWindow);
+    prev_[pos & prev_mask_] = static_cast<std::uint16_t>(dist - 1);
+    head = pos;
   }
 
   /// Longest match for position `i` among previously inserted positions
@@ -48,22 +117,21 @@ class Matcher {
     const std::size_t n = in_.size();
     if (i + kMinMatch > n) return {};
     const std::size_t max_len = std::min<std::size_t>(kMaxMatch, n - i);
-    const std::size_t lowest = i > window_ ? i - window_ : 0;
+    // Below `lowest` lies the window's far edge, then earlier calls.
+    const std::uint32_t lowest =
+        base_ + static_cast<std::uint32_t>(i > window_ ? i - window_ : 0);
+    const std::uint8_t* a = in_.data() + i;
 
     Token bestTok{};
     std::size_t best_len = kMinMatch - 1;
     unsigned chain = max_chain_;
-    for (std::int32_t cand = head_[hash3(in_.data() + i)];
-         cand != kNil && static_cast<std::size_t>(cand) >= lowest && chain > 0;
-         cand = prev_[static_cast<std::size_t>(cand)], --chain) {
-      const std::size_t c = static_cast<std::size_t>(cand);
-      if (c >= i) continue;  // self or stale entry for this position
-      const std::uint8_t* a = in_.data() + i;
+    for (std::uint32_t cand = head_[hash3(a)]; cand >= lowest && chain > 0;
+         cand -= prev_[cand & prev_mask_] + 1u, --chain) {
+      const std::size_t c = cand - base_;
       const std::uint8_t* b = in_.data() + c;
       // Quick reject: match must beat the current best at its last byte.
       if (b[best_len] != a[best_len]) continue;
-      std::size_t len = 0;
-      while (len < max_len && a[len] == b[len]) ++len;
+      const std::size_t len = match_length(a, b, max_len);
       if (len > best_len) {
         best_len = len;
         bestTok = Token{static_cast<std::uint32_t>(i - c),
@@ -78,9 +146,35 @@ class Matcher {
   ByteView in_;
   std::size_t window_;
   unsigned max_chain_;
-  std::vector<std::int32_t> head_;
-  std::vector<std::int32_t> prev_;
+  std::uint32_t base_ = 0;
+  std::uint32_t* head_ = nullptr;
+  std::uint16_t* prev_ = nullptr;
+  std::size_t prev_mask_ = 0;
 };
+
+struct LengthCode {
+  std::uint8_t symbol;
+  std::uint8_t extra_bits;
+};
+
+/// length_bucket's symbol and extra-bit count for every len - kMinMatch.
+constexpr std::array<LengthCode, kMaxMatch - kMinMatch + 1>
+make_length_codes() {
+  std::array<LengthCode, kMaxMatch - kMinMatch + 1> codes{};
+  for (unsigned v = 0; v < codes.size(); ++v) {
+    if (v < 8) {
+      codes[v] = {static_cast<std::uint8_t>(v), 0};
+      continue;
+    }
+    const unsigned k = std::bit_width(v) - 1;  // 3..7
+    const unsigned symbol = 8 + (k - 3) * 2 + ((v >> (k - 1)) & 1);
+    codes[v] = {static_cast<std::uint8_t>(symbol),
+                static_cast<std::uint8_t>(k - 1)};
+  }
+  return codes;
+}
+
+constexpr auto kLengthCodes = make_length_codes();
 
 }  // namespace
 
@@ -90,7 +184,7 @@ std::vector<Token> tokenize(ByteView input, const Params& params) {
   if (n == 0) return out;
   out.reserve(n / 4);
 
-  Matcher m(input, params);
+  Matcher m(input, params, thread_tables());
   std::size_t i = 0;
   Token prev{};             // candidate match found at position i-1
   bool pending = false;     // true when position i-1 awaits resolution
@@ -144,11 +238,9 @@ Bytes reconstruct(const std::vector<Token>& tokens) {
 Bucket length_bucket(unsigned len) noexcept {
   assert(len >= kMinMatch && len <= kMaxMatch);
   const unsigned v = len - kMinMatch;  // 0..255
-  if (v < 8) return Bucket{v, 0, 0};
-  const unsigned k = std::bit_width(v) - 1;  // 3..7
-  const unsigned sym = 8 + (k - 3) * 2 + ((v >> (k - 1)) & 1);
-  const unsigned eb = k - 1;
-  return Bucket{sym, eb, v & ((1u << eb) - 1)};
+  const LengthCode code = kLengthCodes[v];
+  return Bucket{code.symbol, code.extra_bits,
+                v & ((1u << code.extra_bits) - 1)};
 }
 
 Bucket distance_bucket(std::uint32_t d) noexcept {
@@ -217,7 +309,10 @@ Bytes LempelZivCodec::compress(ByteView input) {
   const auto litlen_lengths = huff::build_code_lengths(litlen_freq);
   const auto dist_lengths = huff::build_code_lengths(dist_freq);
 
-  BitWriter bw;
+  const std::size_t header = out.size();
+  out.push_back(kModeCompressed);
+  BitWriter bw(std::move(out));
+  bw.reserve(header + input.size());
   huff::write_lengths(bw, litlen_lengths);
   huff::write_lengths(bw, dist_lengths);
   const huff::Encoder lit_enc(litlen_lengths);
@@ -235,14 +330,12 @@ Bytes LempelZivCodec::compress(ByteView input) {
     }
   }
 
-  Bytes payload = bw.take();
-  if (payload.size() + 1 >= input.size()) {
+  out = bw.take();
+  if (out.size() >= header + input.size()) {
     // Compression expands (random data, tiny inputs): store verbatim.
+    out.resize(header);
     out.push_back(kModeStored);
     out.insert(out.end(), input.begin(), input.end());
-  } else {
-    out.push_back(kModeCompressed);
-    out.insert(out.end(), payload.begin(), payload.end());
   }
   return out;
 }

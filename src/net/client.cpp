@@ -90,10 +90,20 @@ std::size_t DaemonClient::decode_available() {
   const Bytes chunk = receiver->receive_available();
   stream_.insert(stream_.end(), chunk.begin(), chunk.end());
 
-  // Turn the receiver's gap report into a kNack round-trip.
-  const auto nacks = receiver->take_nacks();
-  if (!nacks.empty() && fd_.valid()) {
-    send_msg(MsgKind::kNack, nack_encode(nacks));
+  // Turn the receiver's gap report into a kNack round-trip. Each round
+  // spends one of every open gap's NACK attempts, so run one only when data
+  // frames arrived since the last round, or a heartbeat interval after it
+  // (a loss at the tail of the stream is still NACKed); an idle poll comes
+  // back long before a replay could.
+  const Seconds now = clock_.now();
+  if (data_frames_ != nack_round_frames_ ||
+      now - nack_round_at_ >= session_.heartbeat_interval()) {
+    nack_round_frames_ = data_frames_;
+    nack_round_at_ = now;
+    const auto nacks = receiver->take_nacks();
+    if (!nacks.empty() && fd_.valid()) {
+      send_msg(MsgKind::kNack, nack_encode(nacks));
+    }
   }
   return chunk.size();
 }

@@ -65,10 +65,12 @@ class DaemonClient {
   const session::SessionClient& session() const noexcept { return session_; }
   bool connected() const noexcept { return fd_.valid(); }
 
-  /// One I/O turn: send a heartbeat if due, flush pending NACKs, wait up
-  /// to `timeout_ms` for inbound traffic, drain and decode it. Returns the
-  /// number of decoded payload bytes appended to stream() by this call.
-  /// A server close mid-poll marks the client dropped (connected() false).
+  /// One I/O turn: send a heartbeat if due, wait up to `timeout_ms` for
+  /// inbound traffic, drain and decode it, then NACK open gaps if data
+  /// arrived since the last NACK round or a heartbeat interval has passed
+  /// since it. Returns the number of decoded payload bytes appended to
+  /// stream() by this call. A server close mid-poll marks the client
+  /// dropped (connected() false).
   std::size_t poll(int timeout_ms);
 
   /// poll() until stream() holds at least `target_bytes` or `deadline_ms`
@@ -115,6 +117,8 @@ class DaemonClient {
   Welcome welcome_;
   Bytes stream_;
   std::uint64_t data_frames_ = 0;
+  std::uint64_t nack_round_frames_ = 0;  ///< data_frames_ at the last round
+  Seconds nack_round_at_ = 0;            ///< clock_ time of the last round
   Crc32 wire_crc_;
   std::optional<DaemonStats> last_stats_;
 };

@@ -66,6 +66,9 @@ class SessionClient {
   Bytes make_bye() const;
 
   bool connected() const noexcept { return connected_; }
+  /// The heartbeat cadence in force (the server's advisory interval once
+  /// connected).
+  Seconds heartbeat_interval() const noexcept { return heartbeat_interval_; }
   std::uint64_t session_id() const noexcept { return session_id_; }
   std::uint64_t token() const noexcept { return token_; }
   std::size_t reconnect_attempts() const noexcept {

@@ -6,36 +6,30 @@
 
 namespace acex {
 
-void BitWriter::write(std::uint64_t bits, unsigned count) {
-  assert(count <= 57);
-  if (count == 0) return;
-  if (count < 64) bits &= (std::uint64_t{1} << count) - 1;
-  acc_ = (acc_ << count) | bits;
-  pending_ += count;
-  total_bits_ += count;
-  while (pending_ >= 8) {
+void BitWriter::flush_bytes() {
+  const unsigned whole = pending_ / 8;
+  const std::size_t at = buf_.size();
+  buf_.resize(at + whole);
+  for (unsigned k = 0; k < whole; ++k) {
     pending_ -= 8;
-    buf_.push_back(static_cast<std::uint8_t>(acc_ >> pending_));
+    buf_[at + k] = static_cast<std::uint8_t>(acc_ >> pending_);
   }
 }
 
 void BitWriter::align_to_byte() {
-  if (pending_ != 0) write(0, 8 - pending_);
+  const unsigned pad = (8 - pending_ % 8) % 8;
+  if (pad != 0) write(0, pad);
 }
 
 Bytes BitWriter::take() {
   align_to_byte();
+  flush_bytes();
   Bytes out = std::move(buf_);
   buf_.clear();
   acc_ = 0;
   pending_ = 0;
   total_bits_ = 0;
   return out;
-}
-
-void BitWriter::take_into(Bytes& out) {
-  Bytes flushed = take();
-  out.insert(out.end(), flushed.begin(), flushed.end());
 }
 
 std::uint64_t BitReader::read(unsigned count) {

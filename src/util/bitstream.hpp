@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "util/bytes.hpp"
 
@@ -15,8 +17,18 @@ class BitWriter {
  public:
   BitWriter() = default;
 
+  /// Start after the bytes already in `prefix` (a header the caller wrote);
+  /// take() returns them followed by the bits.
+  explicit BitWriter(Bytes prefix) : buf_(std::move(prefix)) {}
+
   /// Append the low `count` bits of `bits` (0 <= count <= 57), MSB first.
-  void write(std::uint64_t bits, unsigned count);
+  void write(std::uint64_t bits, unsigned count) {
+    assert(count <= 57);
+    if (pending_ + count > 64) flush_bytes();
+    acc_ = (acc_ << count) | (bits & ((std::uint64_t{1} << count) - 1));
+    pending_ += count;
+    total_bits_ += count;
+  }
 
   /// Append a single bit.
   void write_bit(bool bit) { write(bit ? 1u : 0u, 1); }
@@ -24,19 +36,22 @@ class BitWriter {
   /// Pad with zero bits to the next byte boundary.
   void align_to_byte();
 
-  /// Number of bits written so far.
+  /// Make room for `bytes` bytes of output in total.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
+  /// Number of bits written so far (a constructor prefix not included).
   std::uint64_t bit_count() const noexcept { return total_bits_; }
 
   /// Flush pending bits (zero-padded) and move the buffer out. The writer is
   /// left empty and reusable.
   Bytes take();
 
-  /// Append the flushed contents to `out` instead of returning a new buffer.
-  void take_into(Bytes& out);
-
  private:
+  /// Move the whole bytes held in acc_ to buf_, leaving pending_ < 8.
+  void flush_bytes();
+
   Bytes buf_;
-  std::uint64_t acc_ = 0;   // pending bits, left-aligned count in bits_
+  std::uint64_t acc_ = 0;   // pending bits in the low pending_ bits
   unsigned pending_ = 0;    // number of valid bits in acc_ (LSB-aligned)
   std::uint64_t total_bits_ = 0;
 };

@@ -5,8 +5,10 @@
 
 #include "compress/huffman.hpp"
 #include "testdata.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/varint.hpp"
+#include "workloads/transactions.hpp"
 
 namespace acex {
 namespace {
@@ -205,6 +207,15 @@ TEST(HuffmanCodec, TruncatedStreamThrows) {
   Bytes packed = codec.compress(testdata::repetitive_text(4096, 6));
   packed.resize(packed.size() / 2);
   EXPECT_THROW(codec.decompress(packed), DecodeError);
+}
+
+TEST(HuffmanCodec, WireBytesPinnedOnCommercialBlock) {
+  // The same block as the BWT wire pin: a change to the code builder, the
+  // canonical codes or the bit packing that moves one wire byte shows here.
+  const Bytes block = workloads::TransactionGenerator(2004).text_block(16384);
+  const Bytes packed = HuffmanCodec().compress(block);
+  EXPECT_EQ(packed.size(), 10316u);
+  EXPECT_EQ(crc32(packed), 0x693163C2u);
 }
 
 TEST(HuffmanCodec, EmptyBufferThrows) {

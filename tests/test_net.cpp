@@ -4,10 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "broker/broker.hpp"
+#include "compress/frame.hpp"
+#include "compress/null_codec.hpp"
 #include "net/client.hpp"
 #include "net/daemon.hpp"
 #include "net/demo_stream.hpp"
@@ -901,6 +904,67 @@ TEST(NetClient, HeartbeatsKeepSessionLiveAcrossSilence) {
   daemon.stop();
   EXPECT_EQ(daemon.manager().state(session), session::SessionState::kParked);
   EXPECT_GT(daemon.manager().counters().heartbeats, 2u);
+}
+
+TEST(NetClient, IdlePollsNackAGapOncePerHeartbeatInterval) {
+  // A stand-in daemon welcomes the client, sends frames 0 and 2 and never
+  // replays, so frame 1 stays a gap while the client polls with nothing
+  // arriving. Every NACK round spends one of the gap's attempts, so idle
+  // polls must not each start one; a round is due again only a heartbeat
+  // interval later.
+  constexpr std::uint64_t kHeartbeatMs = 1000;
+  std::uint16_t port = 0;
+  ScopedFd listener(listen_loopback(0, 8, &port));
+  ScopedFd server;
+  std::jthread daemon_side([&] {  // joins on every exit path
+    if (!wait_readable(listener.get(), 5000)) return;
+    server.reset(accept_client(listener.get()));
+    if (!recv_message(server.get())) return;  // kHello
+    Welcome welcome;
+    welcome.session_id = 1;
+    welcome.token = 2;
+    welcome.heartbeat_interval_ms = kHeartbeatMs;
+    send_message(server.get(),
+                 wrap(MsgKind::kWelcome, welcome_encode(welcome)));
+    NullCodec codec;
+    for (const std::uint32_t seq : {0u, 2u}) {
+      send_message(server.get(),
+                   wrap(MsgKind::kData,
+                        frame_compress_seq(codec, demo_block(1, seq, 1024),
+                                           seq)));
+    }
+  });
+  DaemonClient client(port);
+  daemon_side.join();
+  ASSERT_TRUE(server.valid());
+
+  // Count the kNack messages that reach the daemon side.
+  const auto nacks_received = [&] {
+    int nacks = 0;
+    while (wait_readable(server.get(), 50)) {
+      const auto frame = recv_message(server.get());
+      if (!frame) break;
+      nacks += unwrap(*frame).kind == MsgKind::kNack;
+    }
+    return nacks;
+  };
+
+  // Well inside one heartbeat interval: the poll that delivers the frames
+  // starts one round, the idle polls after it start none.
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - start <
+         std::chrono::milliseconds(kHeartbeatMs / 4)) {
+    client.poll(10);
+  }
+  EXPECT_EQ(client.data_frames(), 2u);
+  EXPECT_EQ(nacks_received(), 1);
+
+  // Past the interval the gap, at the tail of the stream, is NACKed again.
+  while (std::chrono::steady_clock::now() - start <
+         std::chrono::milliseconds(kHeartbeatMs * 3 / 2)) {
+    client.poll(10);
+  }
+  EXPECT_EQ(nacks_received(), 1);
 }
 
 TEST(NetClient, SilentClientGetsParkedNotDropped) {
