@@ -1,9 +1,9 @@
 // google-benchmark microbenches: per-codec compress/decompress throughput
 // on the two paper datasets, the BWT/MTF/RLE pipeline stages and the
-// per-block fixed costs (frame CRC, §2.5 sample, one LZ77 pass). These
-// are the steady-state numbers behind Figs. 3 and 4 with benchmark-grade
-// statistics (run with --benchmark_repetitions=... for confidence
-// intervals).
+// per-block fixed costs (frame CRC, §2.5 sample, their sum per 128 KiB
+// block, one LZ77 pass). These are the steady-state numbers behind Figs. 3
+// and 4 with benchmark-grade statistics (run with
+// --benchmark_repetitions=... for confidence intervals).
 
 #include <benchmark/benchmark.h>
 
@@ -115,6 +115,19 @@ void BM_Sample(benchmark::State& state, std::size_t bytes) {
                           static_cast<std::int64_t>(block.size()));
 }
 
+// The sender's fixed cost per block besides its encode: one §2.5 sample of
+// the 4 KiB prefix and one frame CRC over the whole 128 KiB block.
+void BM_BlockFloor(benchmark::State& state) {
+  const adaptive::Sampler sampler;
+  const ByteView block = ByteView(commercial()).subspan(0, 128 * 1024);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.sample(block));
+    benchmark::DoNotOptimize(crc32(block));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,6 +157,7 @@ int main(int argc, char** argv) {
                                std::size_t{16 * 1024});
   benchmark::RegisterBenchmark("stage/sample_4K", BM_Sample,
                                std::size_t{4 * 1024});
+  benchmark::RegisterBenchmark("stage/block_floor_128K", BM_BlockFloor);
   // One sampler pass, and one codec-default chunk.
   benchmark::RegisterBenchmark("stage/lz77_compress_4K", BM_LzCompress,
                                std::size_t{4 * 1024});

@@ -98,34 +98,29 @@ ExperimentResult run_fixed(ByteView data, const ExperimentConfig& config,
 double cpu_scale_for_lz_speed(ByteView sample, double target_reducing_Bps) {
   // Measure at the granularity the sender charges: full 128 KiB block
   // compressions (4 KiB probes run severalfold faster per byte and would
-  // skew the scale). Fastest-of-three over a few offsets.
-  constexpr std::size_t kBlock = 128 * 1024;
-  const std::size_t usable = sample.size() >= kBlock ? sample.size() : 0;
-  if (usable == 0) {
-    // Tiny calibration corpus: fall back to whatever fits.
-    Sampler probe(std::max<std::size_t>(sample.size(), 1));
-    const SampleResult s = probe.sample(sample);
-    return s.reducing_speed > 0 ? target_reducing_Bps / s.reducing_speed
-                                : 1.0;
-  }
+  // skew the scale). Fastest-of-three over a few offsets; a corpus under
+  // one block is timed whole, the same way.
+  const std::size_t usable = sample.size();
+  if (usable == 0) return 1.0;
+  const std::size_t block_bytes = std::min<std::size_t>(128 * 1024, usable);
   MonotonicClock clock;
   LempelZivCodec lz;
   double speed_sum = 0;
   int speeds = 0;
   const std::size_t step =
-      std::max<std::size_t>((usable - kBlock) / 3 + 1, 1);
-  for (std::size_t off = 0; off + kBlock <= usable && speeds < 4;
+      std::max<std::size_t>((usable - block_bytes) / 3 + 1, 1);
+  for (std::size_t off = 0; off + block_bytes <= usable && speeds < 4;
        off += step) {
-    const ByteView block = sample.subspan(off, kBlock);
+    const ByteView block = sample.subspan(off, block_bytes);
     Seconds best = 1e9;
-    std::size_t packed_size = kBlock;
+    std::size_t packed_size = block_bytes;
     for (int run = 0; run < 3; ++run) {
       const Stopwatch sw(clock);
       packed_size = lz.compress(block).size();
       best = std::min(best, sw.elapsed());
     }
-    if (packed_size < kBlock && best > 0) {
-      speed_sum += static_cast<double>(kBlock - packed_size) / best;
+    if (packed_size < block_bytes && best > 0) {
+      speed_sum += static_cast<double>(block_bytes - packed_size) / best;
       ++speeds;
     }
   }

@@ -12,25 +12,17 @@ SampleResult run_sample(ByteView prefix) {
   result.sample_bytes = prefix.size();
   if (prefix.empty()) return result;
 
-  // Sub-millisecond one-shot timings of a 4 KiB compression are dominated
-  // by cache state and timer noise; take the fastest of three runs, the
-  // standard microbenchmark estimator of attainable speed. The sender
-  // smooths what it gets (an EWMA(0.4) of the reducing speed, and only the
-  // ratio of two smoothed speeds corrects block-level LZ drift), but its
-  // very first LZ estimate is the first sample alone. A single pass reads
-  // ~15-20 % slower in the median and flips early-block decisions, so the
-  // three passes stay until a cheaper estimator of the same speed exists.
+  // One timed LZ pass, as §2.5 prescribes. The ratio is exact; the speed
+  // is a one-shot timing, biased by cache state and timer noise. The
+  // sender's drift correction reads only the ratio of two EWMA-smoothed
+  // sample speeds, so a steady bias cancels, and its first-block
+  // extrapolation misses the block speed by no more than the fastest of
+  // three passes did (EXPERIMENTS.md, caveat 4).
   MonotonicClock clock;
   LempelZivCodec lz;
-  Bytes packed;
-  Seconds best = 1e9;
-  for (int run = 0; run < 3; ++run) {
-    const Stopwatch sw(clock);
-    packed = lz.compress(prefix);
-    best = std::min(best, sw.elapsed());
-    if (best > 0.005) break;  // big samples: one timing is accurate enough
-  }
-  result.elapsed = std::max(best, 1e-9);  // avoid divide-by-zero
+  const Stopwatch sw(clock);
+  const Bytes packed = lz.compress(prefix);
+  result.elapsed = std::max(sw.elapsed(), 1e-9);  // avoid divide-by-zero
 
   result.ratio_percent = 100.0 * static_cast<double>(packed.size()) /
                          static_cast<double>(prefix.size());

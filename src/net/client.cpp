@@ -89,23 +89,26 @@ std::size_t DaemonClient::decode_available() {
   if (receiver == nullptr) return 0;
   const Bytes chunk = receiver->receive_available();
   stream_.insert(stream_.end(), chunk.begin(), chunk.end());
-
-  // Turn the receiver's gap report into a kNack round-trip. Each round
-  // spends one of every open gap's NACK attempts, so run one only when data
-  // frames arrived since the last round, or a heartbeat interval after it
-  // (a loss at the tail of the stream is still NACKed); an idle poll comes
-  // back long before a replay could.
-  const Seconds now = clock_.now();
-  if (data_frames_ != nack_round_frames_ ||
-      now - nack_round_at_ >= session_.heartbeat_interval()) {
-    nack_round_frames_ = data_frames_;
-    nack_round_at_ = now;
-    const auto nacks = receiver->take_nacks();
-    if (!nacks.empty() && fd_.valid()) {
-      send_msg(MsgKind::kNack, nack_encode(nacks));
-    }
-  }
   return chunk.size();
+}
+
+void DaemonClient::nack_round() {
+  // Turn the receiver's gap report into a kNack round-trip. Each round
+  // spends one of every open gap's NACK attempts, so run one only on a live
+  // socket, and only when data frames arrived since the last round, or a
+  // heartbeat interval after it (a loss at the tail of the stream is still
+  // NACKed); an idle poll comes back long before a replay could.
+  auto* receiver = session_.receiver();
+  if (receiver == nullptr || !fd_.valid()) return;
+  const Seconds now = clock_.now();
+  if (data_frames_ == nack_round_frames_ &&
+      now - nack_round_at_ < session_.heartbeat_interval()) {
+    return;
+  }
+  nack_round_frames_ = data_frames_;
+  nack_round_at_ = now;
+  const auto nacks = receiver->take_nacks();
+  if (!nacks.empty()) send_msg(MsgKind::kNack, nack_encode(nacks));
 }
 
 std::size_t DaemonClient::poll(int timeout_ms) {
@@ -125,7 +128,9 @@ std::size_t DaemonClient::poll(int timeout_ms) {
       if (!wait_readable(fd_.get(), 0)) break;
     }
   }
-  return decode_available();
+  const std::size_t decoded = decode_available();
+  nack_round();
+  return decoded;
 }
 
 bool DaemonClient::poll_until(std::size_t target_bytes, int deadline_ms) {
@@ -163,7 +168,8 @@ void DaemonClient::bye() {
 
 void DaemonClient::drop() {
   // Decode whatever already arrived so resume_from reflects every frame
-  // this client actually has — the replay gap starts exactly after it.
+  // this client actually has — the replay gap starts exactly after it. No
+  // NACK round: nothing could answer it, and resume() replays the gap.
   decode_available();
   fd_.reset();
   session_.on_dropped();

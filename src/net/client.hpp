@@ -107,6 +107,7 @@ class DaemonClient {
   void handshake(std::uint16_t port, const CompressionOffer& offer);
   void handle_inbound(Msg msg);
   std::size_t decode_available();
+  void nack_round();
   void send_msg(MsgKind kind, ByteView payload);
 
   DaemonClientConfig config_;

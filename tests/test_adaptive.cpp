@@ -167,6 +167,32 @@ TEST(Sampler, AsyncLaunchMatchesSyncResultShape) {
   const SampleResult sync_result = sampler.sample(block);
   EXPECT_EQ(async_result->sample_bytes, sync_result.sample_bytes);
   EXPECT_DOUBLE_EQ(async_result->ratio_percent, sync_result.ratio_percent);
+
+  // A second cycle on the same Sampler, on a block of its own.
+  EXPECT_FALSE(sampler.pending());
+  const Bytes next = testdata::repetitive_text(2048, 5);
+  sampler.launch(next);
+  EXPECT_TRUE(sampler.pending());
+  const auto second = sampler.wait();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_FALSE(sampler.pending());
+  const SampleResult sync_next = sampler.sample(next);
+  EXPECT_EQ(second->sample_bytes, 2048u);
+  EXPECT_EQ(second->sample_bytes, sync_next.sample_bytes);
+  EXPECT_DOUBLE_EQ(second->ratio_percent, sync_next.ratio_percent);
+  EXPECT_GT(second->elapsed, 0.0);
+}
+
+TEST(Sampler, RatioPinnedOnCommercialPrefix) {
+  // The sampled ratio is the one sample output every decision rule and
+  // golden selection sequence reads exactly; only its timing may change.
+  const Bytes block = workloads::TransactionGenerator(2004).text_block(16384);
+  const SampleResult small = Sampler(1024).sample(block);
+  EXPECT_EQ(small.sample_bytes, 1024u);
+  EXPECT_DOUBLE_EQ(small.ratio_percent, 52.34375);  // 536 bytes
+  const SampleResult paper = Sampler(4096).sample(block);
+  EXPECT_EQ(paper.sample_bytes, 4096u);
+  EXPECT_DOUBLE_EQ(paper.ratio_percent, 33.642578125);  // 1378 bytes
 }
 
 TEST(Sampler, WaitWithoutLaunchIsEmpty) {

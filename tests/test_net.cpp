@@ -906,24 +906,19 @@ TEST(NetClient, HeartbeatsKeepSessionLiveAcrossSilence) {
   EXPECT_GT(daemon.manager().counters().heartbeats, 2u);
 }
 
-TEST(NetClient, IdlePollsNackAGapOncePerHeartbeatInterval) {
-  // A stand-in daemon welcomes the client, sends frames 0 and 2 and never
-  // replays, so frame 1 stays a gap while the client polls with nothing
-  // arriving. Every NACK round spends one of the gap's attempts, so idle
-  // polls must not each start one; a round is due again only a heartbeat
-  // interval later.
-  constexpr std::uint64_t kHeartbeatMs = 1000;
-  std::uint16_t port = 0;
-  ScopedFd listener(listen_loopback(0, 8, &port));
-  ScopedFd server;
-  std::jthread daemon_side([&] {  // joins on every exit path
+// Stand-in daemon for the NACK pacing tests: accepts one client on
+// `listener`, welcomes it with a `heartbeat_ms` interval, sends frames 0 and
+// 2 and never replays, so frame 1 stays a gap. `server` keeps the socket.
+std::jthread serve_one_gap(const ScopedFd& listener, ScopedFd& server,
+                           std::uint64_t heartbeat_ms) {
+  return std::jthread([&listener, &server, heartbeat_ms] {
     if (!wait_readable(listener.get(), 5000)) return;
     server.reset(accept_client(listener.get()));
     if (!recv_message(server.get())) return;  // kHello
     Welcome welcome;
     welcome.session_id = 1;
     welcome.token = 2;
-    welcome.heartbeat_interval_ms = kHeartbeatMs;
+    welcome.heartbeat_interval_ms = heartbeat_ms;
     send_message(server.get(),
                  wrap(MsgKind::kWelcome, welcome_encode(welcome)));
     NullCodec codec;
@@ -934,20 +929,33 @@ TEST(NetClient, IdlePollsNackAGapOncePerHeartbeatInterval) {
                                            seq)));
     }
   });
+}
+
+// Count the kNack messages that reach the stand-in daemon's side.
+int nacks_received(const ScopedFd& server) {
+  int nacks = 0;
+  while (wait_readable(server.get(), 50)) {
+    const auto frame = recv_message(server.get());
+    if (!frame) break;
+    nacks += unwrap(*frame).kind == MsgKind::kNack;
+  }
+  return nacks;
+}
+
+TEST(NetClient, IdlePollsNackAGapOncePerHeartbeatInterval) {
+  // The stand-in daemon leaves frame 1 a gap while the client polls with
+  // nothing arriving. Every NACK round spends one of the gap's attempts, so
+  // idle polls must not each start one; a round is due again only a
+  // heartbeat interval later.
+  constexpr std::uint64_t kHeartbeatMs = 1000;
+  std::uint16_t port = 0;
+  ScopedFd listener(listen_loopback(0, 8, &port));
+  ScopedFd server;
+  std::jthread daemon_side =  // joins on every exit path
+      serve_one_gap(listener, server, kHeartbeatMs);
   DaemonClient client(port);
   daemon_side.join();
   ASSERT_TRUE(server.valid());
-
-  // Count the kNack messages that reach the daemon side.
-  const auto nacks_received = [&] {
-    int nacks = 0;
-    while (wait_readable(server.get(), 50)) {
-      const auto frame = recv_message(server.get());
-      if (!frame) break;
-      nacks += unwrap(*frame).kind == MsgKind::kNack;
-    }
-    return nacks;
-  };
 
   // Well inside one heartbeat interval: the poll that delivers the frames
   // starts one round, the idle polls after it start none.
@@ -957,14 +965,37 @@ TEST(NetClient, IdlePollsNackAGapOncePerHeartbeatInterval) {
     client.poll(10);
   }
   EXPECT_EQ(client.data_frames(), 2u);
-  EXPECT_EQ(nacks_received(), 1);
+  EXPECT_EQ(nacks_received(server), 1);
 
   // Past the interval the gap, at the tail of the stream, is NACKed again.
   while (std::chrono::steady_clock::now() - start <
          std::chrono::milliseconds(kHeartbeatMs * 3 / 2)) {
     client.poll(10);
   }
-  EXPECT_EQ(nacks_received(), 1);
+  EXPECT_EQ(nacks_received(server), 1);
+}
+
+TEST(NetClient, DropStartsNoNackRound) {
+  // A round is due again a heartbeat interval after the last one, but
+  // drop() is closing the only socket a replay could come back on, and
+  // resume() replays the gap anyway: it must decode without NACKing.
+  constexpr std::uint64_t kHeartbeatMs = 200;
+  std::uint16_t port = 0;
+  ScopedFd listener(listen_loopback(0, 8, &port));
+  ScopedFd server;
+  std::jthread daemon_side = serve_one_gap(listener, server, kHeartbeatMs);
+  DaemonClient client(port);
+  daemon_side.join();
+  ASSERT_TRUE(server.valid());
+
+  client.poll(1000);
+  EXPECT_EQ(client.data_frames(), 2u);
+  EXPECT_EQ(nacks_received(server), 1);
+
+  msleep(static_cast<int>(kHeartbeatMs * 3 / 2));
+  client.drop();
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(nacks_received(server), 0);
 }
 
 TEST(NetClient, SilentClientGetsParkedNotDropped) {
