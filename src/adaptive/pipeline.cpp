@@ -476,6 +476,12 @@ BlockPlan AdaptiveSender::plan_block(ByteView block, ByteView next_block) {
   if (block.size() > config_.decision.block_size) {
     throw ConfigError("adaptive: block exceeds configured block_size");
   }
+  if (raw_only()) {
+    // A sample launched while the governor was open is of THIS block:
+    // drop it, or a later block would be planned from it. Launch none.
+    sampler_.wait();
+    return plan_block_raw(block);
+  }
   // The sampler result for THIS block: the paper computes it during the
   // previous block's send; we launch it there (async) and collect it here.
   SampleResult sample;
@@ -557,17 +563,32 @@ BlockPlan AdaptiveSender::plan_block_sampled(ByteView block,
   return plan;
 }
 
-BlockPlan AdaptiveSender::plan_block_fixed(ByteView block, MethodId method) {
+bool AdaptiveSender::raw_only() const {
+  const auto& governor = config_.method_governor;
+  // The governor's choice passes the breaker, which only demotes, so a
+  // ladder mapped wholly to kNone plans kNone whatever the sample says.
+  return governor && std::all_of(kLadder.begin(), kLadder.end(),
+                                 [&governor](MethodId m) {
+                                   return governor(m) == MethodId::kNone;
+                                 });
+}
+
+BlockPlan AdaptiveSender::plan_block_raw(ByteView block) {
   if (block.size() > config_.decision.block_size) {
     throw ConfigError("adaptive: block exceeds configured block_size");
   }
   const obs::ScopedSpan span(obs::BlockTracer::global(), blocks_sent_,
                              obs::Stage::kPlan);
-  BlockPlan plan;
+  BlockPlan plan;  // kNone at the unsampled ratio, degradation allowed
   plan.sequence = blocks_sent_++;
-  plan.method = method;
   plan.bandwidth_estimate_Bps =
       bandwidth_.estimate_or(config_.initial_bandwidth_Bps);
+  return plan;
+}
+
+BlockPlan AdaptiveSender::plan_block_fixed(ByteView block, MethodId method) {
+  BlockPlan plan = plan_block_raw(block);
+  plan.method = method;
   // Fixed sends are the paper's baselines: no degradation, no breaker —
   // "always-BW" must stay BW even when that is a bad idea.
   plan.allow_degrade = false;

@@ -292,7 +292,23 @@ class AdaptiveSender {
   /// Serial selector step: sample (collecting any pending async sample),
   /// choose the method (§2.5 decision + target rate + circuit breaker),
   /// launch sampling of `next_block`, and claim the next sequence number.
+  /// A raw_only() sender is planned by plan_block_raw() instead: no
+  /// sample is taken or launched, and a pending one is discarded.
   BlockPlan plan_block(ByteView block, ByteView next_block = {});
+
+  /// Whether the method governor maps every method the selector can emit
+  /// (kDecisionLadder) to kNone — a negotiated `{none}` allowlist, or the
+  /// session ladder at kNullCodec. Then no sample can change the method,
+  /// so the §2.5 sample is not worth its LZ pass. The governor may change
+  /// between blocks; each block asks afresh.
+  bool raw_only() const;
+
+  /// The plan of a block that goes raw whatever its sample says: the next
+  /// sequence, kNone, the unsampled default ratio, and no decision run.
+  /// Call it when raw_only() held; it does not ask the governor again, so
+  /// a governor that reopens in between cannot get a decision made on a
+  /// sample nobody took.
+  BlockPlan plan_block_raw(ByteView block);
 
   /// Like plan_block() for a fixed-method baseline send: no sampling, no
   /// selector, degradation disabled.

@@ -232,6 +232,15 @@ void FanoutBroker::publish_chunk(ByteView block, std::size_t offset,
   planned.reserve(subs.size());
   for (const auto& sub : subs) {
     if (sub->is_disconnected()) continue;
+    adaptive::AdaptiveSender& sender = *sub->sender;
+    // A sender whose governor sends every method to kNone (a `{none}`
+    // offer, the session ladder at kNullCodec) goes raw whatever the
+    // sample says, so it takes none.
+    if (sender.raw_only()) {
+      std::lock_guard<std::mutex> lock(sub->sender_mutex);
+      planned.push_back({sub, sender.plan_block_raw(block)});
+      continue;
+    }
     // Each subscriber samples with its own sample_size. The sampled ratio
     // is a property of the data, not of any link, and a sample reads only
     // the chunk's prefix, so subscribers whose chunks start at the same
@@ -245,8 +254,7 @@ void FanoutBroker::publish_chunk(ByteView block, std::size_t offset,
                .first;
     }
     std::lock_guard<std::mutex> lock(sub->sender_mutex);
-    planned.push_back(
-        {sub, sub->sender->plan_block_sampled(block, it->second)});
+    planned.push_back({sub, sender.plan_block_sampled(block, it->second)});
   }
   if (planned.empty()) {
     metrics.groups.set(0);

@@ -27,7 +27,9 @@ using SubscriberId = std::uint64_t;
 /// and `adaptive.async_sampling` are overridden by the broker, which owns
 /// the bandwidth measurement point and runs the sampling itself. It
 /// samples each chunk with `adaptive.decision.sample_size`, sharing one
-/// sample among every subscriber that reads the same prefix.
+/// sample among every subscriber that reads the same prefix, and takes no
+/// sample for a subscriber whose `adaptive.method_governor` leaves it only
+/// the null codec (AdaptiveSender::raw_only()).
 struct SubscriberConfig {
   /// Obs label; defaults to "sub-<id>" when empty. Must be unique if you
   /// want per-subscriber metrics to stay distinguishable.
@@ -68,7 +70,9 @@ struct BrokerResume {
 /// the number of distinct chosen methods — NOT the subscriber count.
 struct BrokerStats {
   std::uint64_t blocks = 0;        ///< publish() calls
-  std::uint64_t samples = 0;       ///< sampler runs (distinct prefixes)
+  /// Sampler runs: one per distinct (chunk offset, sampled prefix) that a
+  /// subscriber able to compress reads. A raw_only() subscriber adds none.
+  std::uint64_t samples = 0;
   std::uint64_t encodes = 0;       ///< actual codec runs (== cache_misses)
   std::uint64_t cache_hits = 0;    ///< subscriber frames served from cache
   std::uint64_t cache_misses = 0;  ///< one per (block, method) group

@@ -137,8 +137,9 @@ NegotiatedParams negotiate(const CompressionOffer& offer,
 /// Map one negotiated set onto a subscriber's adaptive config: block size,
 /// decision policy, expansion slack and target rate verbatim; the
 /// allowlist becomes a method_governor (see governed_method).
-/// context_takeover is not mapped: broker senders sample every chunk
-/// inline anyway, and none of them resets its adaptation per block yet.
+/// context_takeover is not mapped: no broker sender resets its adaptation
+/// per block yet. A `{none}` allowlist makes the sender raw_only(), so the
+/// broker takes no sample for this client at all.
 void apply(const NegotiatedParams& params, adaptive::AdaptiveConfig& config);
 
 /// Allowlist governor: `method` itself when negotiated, otherwise the

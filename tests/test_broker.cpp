@@ -217,6 +217,86 @@ TEST(BrokerGroups, OneSamplePerDistinctChunkPrefix) {
   EXPECT_EQ(uniform.stats().samples, 1u);
 }
 
+TEST(BrokerGroups, RawOnlySubscriberTakesNoSample) {
+  // The acexd mix of OneSamplePerDistinctChunkPrefix, with the 4 KiB
+  // subscriber governed to the null codec (a negotiated `{none}` offer).
+  // No sample can change its method, so its four chunk prefixes go
+  // unsampled: a publish costs the 16 and 8 KiB subscribers' two samples
+  // (offsets 0 and 8 KiB), not four.
+  const std::size_t kSizes[] = {16 * 1024, 8 * 1024, 16 * 1024, 4 * 1024};
+  const std::size_t kRaw = 3;
+  std::vector<Bytes> blocks;
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    Bytes block;
+    for (std::uint64_t q = 0; q < 4; ++q) {
+      const Bytes part = q % 2 == 0 ? testdata::zeros(4 * 1024, 0)
+                                    : compressible_block(4 * 1024, 10 * b + q);
+      block.insert(block.end(), part.begin(), part.end());
+    }
+    blocks.push_back(std::move(block));
+  }
+
+  // Each subscriber's wire frames, with or without the raw-only one.
+  const auto run = [&](bool with_raw) {
+    VirtualClock clock;
+    std::vector<std::unique_ptr<SimEndpoint>> endpoints;
+    FanoutBroker broker;
+    for (std::size_t i = 0; i < std::size(kSizes); ++i) {
+      if (i == kRaw && !with_raw) continue;
+      endpoints.push_back(std::make_unique<SimEndpoint>(clock, 1e6, 60 + i));
+      SubscriberConfig config;
+      config.adaptive.decision.block_size = kSizes[i];
+      config.adaptive.initial_bandwidth_Bps = 1e3;  // compression pays
+      if (i == kRaw) {
+        config.adaptive.method_governor = [](MethodId) {
+          return MethodId::kNone;
+        };
+      }
+      broker.subscribe(endpoints.back()->duplex.a(), config);
+    }
+    for (const Bytes& block : blocks) {
+      const std::uint64_t before = broker.stats().samples;
+      broker.publish(block);
+      EXPECT_EQ(broker.stats().samples - before, 2u)
+          << (with_raw ? "with" : "without") << " the raw-only subscriber";
+      broker.pump_all();
+    }
+    std::vector<std::vector<Bytes>> wires;
+    for (auto& endpoint : endpoints) {
+      wires.emplace_back();
+      while (auto wire = endpoint->duplex.b().receive()) {
+        wires.back().push_back(std::move(*wire));
+      }
+    }
+    return wires;
+  };
+
+  const std::vector<std::vector<Bytes>> with = run(true);
+  const std::vector<std::vector<Bytes>> without = run(false);
+  ASSERT_EQ(with.size(), 4u);
+  ASSERT_EQ(without.size(), 3u);
+
+  // The raw-only subscriber gets every 4 KiB chunk raw, in sequence.
+  const CodecRegistry registry = CodecRegistry::with_builtins();
+  const std::vector<Bytes>& raw = with[kRaw];
+  ASSERT_EQ(raw.size(), 4 * blocks.size());
+  for (std::size_t seq = 0; seq < raw.size(); ++seq) {
+    const Frame frame = frame_parse(raw[seq]);
+    EXPECT_EQ(frame.method, MethodId::kNone) << "frame " << seq;
+    EXPECT_TRUE(frame.has_sequence);
+    EXPECT_EQ(frame.sequence, seq);
+    const ByteView chunk =
+        ByteView(blocks[seq / 4]).subspan((seq % 4) * 4 * 1024, 4 * 1024);
+    EXPECT_EQ(frame_decode(frame, registry), Bytes(chunk.begin(), chunk.end()))
+        << "frame " << seq;
+  }
+  // Everyone else's frames are byte-identical to a fan-out without it.
+  for (std::size_t i = 0; i < without.size(); ++i) {
+    EXPECT_FALSE(without[i].empty());
+    EXPECT_EQ(with[i], without[i]) << "subscriber " << i;
+  }
+}
+
 TEST(BrokerGroups, EachSubscriberSamplesWithItsOwnSampleSize) {
   VirtualClock clock;
   // Four subscribers share one 4 KiB chunk: two sample its first KiB, two

@@ -10,6 +10,7 @@
 #include "netsim/load_trace.hpp"
 #include "testdata.hpp"
 #include "transport/sim_transport.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "workloads/molecular.hpp"
 #include "workloads/transactions.hpp"
@@ -204,6 +205,89 @@ TEST_F(PipelineTest, AsyncSamplingMatchesSyncDecisionsOnSteadyData) {
         sync_report.blocks[i].method == async_report.blocks[i].method;
   }
   EXPECT_GE(agreements, sync_report.blocks.size() - 1);
+}
+
+/// Blocks of 4 KiB whose samples all differ: block i opens with i * 512
+/// zero bytes and continues with noise.
+Bytes stepped_blocks(std::size_t count) {
+  Bytes data;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Bytes noise = testdata::random_bytes(4096 - i * 512, 70 + i);
+    data.insert(data.end(), i * 512, 0);
+    data.insert(data.end(), noise.begin(), noise.end());
+  }
+  return data;
+}
+
+AdaptiveConfig stepped_config(bool async_sampling) {
+  AdaptiveConfig config;
+  config.async_sampling = async_sampling;
+  config.decision.block_size = 4096;
+  config.decision.sample_size = 4096;
+  return config;
+}
+
+TEST_F(PipelineTest, RawOnlyGovernorShipsRawFramesWithoutSampling) {
+  // A governor that leaves only the null codec makes every sample moot:
+  // send_all neither takes nor launches one, and the frames are the ones
+  // a sampled plan that the governor overrode would have shipped.
+  const std::size_t kBlocks = 6;
+  const Bytes data = stepped_blocks(kBlocks);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async sampling" : "inline sampling");
+    wire(1e6);
+    AdaptiveConfig config = stepped_config(async);
+    config.method_governor = [](MethodId) { return MethodId::kNone; };
+    AdaptiveSender sender(duplex_->a(), config);
+    EXPECT_TRUE(sender.raw_only());
+    const StreamReport report = sender.send_all(data);
+    ASSERT_EQ(report.blocks.size(), kBlocks);
+    clock_.advance(60.0);
+    for (std::size_t i = 0; i < kBlocks; ++i) {
+      const ByteView block = ByteView(data).subspan(i * 4096, 4096);
+      EXPECT_EQ(report.blocks[i].method, MethodId::kNone);
+      EXPECT_EQ(report.blocks[i].sampled_ratio_percent,
+                BlockReport{}.sampled_ratio_percent)
+          << "block " << i;
+      const std::optional<Bytes> frame = duplex_->b().receive();
+      ASSERT_TRUE(frame.has_value());
+      EXPECT_EQ(*frame,
+                frame_build_seq(MethodId::kNone, block, crc32(block), i))
+          << "block " << i;
+    }
+  }
+}
+
+TEST_F(PipelineTest, GovernorReopeningMidStreamPlansFromARealSample) {
+  // The governor leaves only kNone for block 2 and is open around it.
+  // Under async sampling block 1 has already launched block 2's sample;
+  // it must be dropped, so block 3 plans from its own sample, never from
+  // block 2's.
+  const std::size_t kBlocks = 6;
+  const Bytes data = stepped_blocks(kBlocks);
+  const Sampler sampler(4096);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async sampling" : "inline sampling");
+    wire(1e6);
+    AdaptiveConfig config = stepped_config(async);
+    std::size_t finished = 0;  // one worker: block i plans after i finishes
+    config.on_cpu_time = [&finished](Seconds) { ++finished; };
+    config.method_governor = [&finished](MethodId m) {
+      return finished == 2 ? MethodId::kNone : m;
+    };
+    AdaptiveSender sender(duplex_->a(), config);
+    const StreamReport report = sender.send_all(data);
+    ASSERT_EQ(report.blocks.size(), kBlocks);
+    for (std::size_t i = 0; i < kBlocks; ++i) {
+      const double expected =
+          i == 2 ? BlockReport{}.sampled_ratio_percent
+                 : sampler.sample(ByteView(data).subspan(i * 4096, 4096))
+                       .ratio_percent;
+      EXPECT_EQ(report.blocks[i].sampled_ratio_percent, expected)
+          << "block " << i;
+    }
+    EXPECT_EQ(report.blocks[2].method, MethodId::kNone);
+  }
 }
 
 // ------------------------------------------------------------- experiments

@@ -2,8 +2,10 @@
 
 #include <memory>
 #include <mutex>
+#include <set>
 #include <vector>
 
+#include "compress/frame.hpp"
 #include "netsim/link.hpp"
 #include "qa/chaos.hpp"
 #include "session/budget.hpp"
@@ -806,6 +808,99 @@ TEST(SessionOverload, GovernorForcesTheNullCodecAtDepth) {
   }
   clock.advance(60.0);
   EXPECT_EQ(rx.receive_available(), data);  // degraded, never corrupted
+}
+
+/// A session on a crawling 100 kB/s link, where compression always pays
+/// and the sampled ratio alone picks the method: LZ or BW on zeros,
+/// Huffman on an unsampled (100 %) ratio.
+SessionConfig sampling_session() {
+  SessionConfig config = quick_session();
+  config.subscriber.adaptive.decision.block_size = 4096;
+  config.subscriber.adaptive.initial_bandwidth_Bps = 1e3;
+  return config;
+}
+
+/// Pump `id` and parse the one frame it put on `endpoint`'s wire.
+Frame next_frame(SessionManager& manager, SessionId id,
+                 SimEndpoint& endpoint) {
+  manager.pump(id);
+  std::optional<Bytes> wire = endpoint.duplex.b().receive();
+  if (!wire) throw DecodeError("no frame on the wire");
+  EXPECT_FALSE(endpoint.duplex.b().receive().has_value());
+  return frame_parse(*wire);
+}
+
+bool lz_family(MethodId method) {
+  return method == MethodId::kLempelZiv ||
+         method == MethodId::kBurrowsWheeler;
+}
+
+TEST(SessionOverload, NullCodecRungShedsSampling) {
+  // kNullCodec exists to shed CPU: every method is governed to kNone, so
+  // the §2.5 sample could not change a thing and no publish takes one.
+  VirtualClock clock;
+  ManagerConfig mc;
+  mc.budget.limit_bytes = 1 << 20;
+  SessionManager manager(clock, mc);
+  std::size_t pressure = 0;
+  manager.budget().add_probe("pressure", [&pressure] { return pressure; });
+  SimEndpoint endpoint(clock, 100e3, 5);
+  const ConnectResult cr = manager.connect(endpoint.duplex.a(),
+                                           sampling_session());
+  ASSERT_TRUE(cr.accepted);
+  const Bytes block = testdata::zeros(4096, 0);
+
+  pressure = mc.budget.limit_bytes * 4 / 5;  // 80 %: the null-codec rung
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    manager.publish(block);
+    ASSERT_EQ(manager.stage(), DegradationStage::kNullCodec);
+    const Frame frame = next_frame(manager, cr.session_id, endpoint);
+    EXPECT_EQ(frame.method, MethodId::kNone);
+    EXPECT_EQ(frame.sequence, seq);
+  }
+  EXPECT_EQ(manager.broker().stats().samples, 0u);
+
+  // Pressure gone: the next publish samples again and plans from it.
+  pressure = 0;
+  manager.publish(block);
+  ASSERT_EQ(manager.stage(), DegradationStage::kNormal);
+  EXPECT_EQ(manager.broker().stats().samples, 1u);
+  const Frame reopened = next_frame(manager, cr.session_id, endpoint);
+  EXPECT_TRUE(lz_family(reopened.method))
+      << "method " << static_cast<int>(reopened.method);
+  EXPECT_EQ(reopened.sequence, 3u);
+}
+
+TEST(SessionOverload, AGovernorThatReopensAfterTheRawCheckStillShipsRaw) {
+  // The ladder stage is an atomic another thread may move between the
+  // broker's raw-only check and the plan. This governor leaves only kNone
+  // until it has been asked about every ladder method, i.e. through one
+  // whole raw-only check, and opens right after it. The block that check
+  // cleared must still go raw: a decision on the sample nobody took would
+  // read an unsampled ratio and pick Huffman.
+  VirtualClock clock;
+  SessionManager manager(clock);
+  std::set<MethodId> asked;
+  SessionConfig sc = sampling_session();
+  sc.subscriber.adaptive.method_governor = [&asked](MethodId m) {
+    if (asked.size() == adaptive::kDecisionLadder.size()) return m;
+    asked.insert(m);
+    return MethodId::kNone;
+  };
+  SimEndpoint endpoint(clock, 100e3, 6);
+  const ConnectResult cr = manager.connect(endpoint.duplex.a(), sc);
+  ASSERT_TRUE(cr.accepted);
+  const Bytes block = testdata::zeros(4096, 0);
+
+  manager.publish(block);
+  EXPECT_EQ(manager.broker().stats().samples, 0u);
+  EXPECT_EQ(next_frame(manager, cr.session_id, endpoint).method,
+            MethodId::kNone);
+
+  manager.publish(block);
+  EXPECT_EQ(manager.broker().stats().samples, 1u);
+  const MethodId method = next_frame(manager, cr.session_id, endpoint).method;
+  EXPECT_TRUE(lz_family(method)) << "method " << static_cast<int>(method);
 }
 
 // ----------------------------------------------------------------- chaos

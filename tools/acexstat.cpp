@@ -164,6 +164,7 @@ struct DemoSubscriber {
   broker::SubscriberId id = 0;
   std::string name;
   bool faulted = false;
+  bool raw_only = false;  // governed to the null codec: never sampled
   std::map<std::uint64_t, std::uint32_t> recovered;  // sequence -> crc32
 };
 
@@ -180,6 +181,9 @@ int run_broker_demo(const Options& opt) {
   // Heterogeneous fleet: even subscribers ride a fast link, odd ones a slow
   // link (so the planners pick different methods and the encode cache has
   // real groups to share), and every fourth link drops/corrupts frames.
+  // The last of two or more is governed to the null codec, like a client
+  // that negotiated `{none}`, and has a sample size of its own: the broker
+  // must take no sample for it, so samples still equal publishes.
   std::vector<std::unique_ptr<DemoSubscriber>> subs;
   for (std::size_t i = 0; i < opt.broker_subs; ++i) {
     auto sub = std::make_unique<DemoSubscriber>();
@@ -210,10 +214,16 @@ int run_broker_demo(const Options& opt) {
 
     broker::SubscriberConfig sc;
     sub->name = (fast ? "fast-" : "slow-") + std::to_string(i);
+    sub->raw_only = opt.broker_subs > 1 && i + 1 == opt.broker_subs;
     if (sub->faulted) sub->name += "-faulted";
+    if (sub->raw_only) sub->name += "-raw";
     sc.name = sub->name;
     sc.adaptive.decision.block_size = block_size;
-    sc.adaptive.decision.sample_size = std::min<std::size_t>(1024, block_size);
+    sc.adaptive.decision.sample_size =
+        std::min<std::size_t>(sub->raw_only ? 2048 : 1024, block_size);
+    if (sub->raw_only) {
+      sc.adaptive.method_governor = [](MethodId) { return MethodId::kNone; };
+    }
     sc.adaptive.initial_bandwidth_Bps = link_bps;
     sc.adaptive.retransmit_capacity = opt.blocks + 8;
     sc.adaptive.retransmit_max_retries = 4;
@@ -237,6 +247,11 @@ int run_broker_demo(const Options& opt) {
   const auto drain = [&](DemoSubscriber& sub) {
     for (const adaptive::FrameOutcome& f : sub.rx->receive_report().frames) {
       if (f.status != adaptive::FrameOutcome::Status::kOk) continue;
+      if (sub.raw_only && f.method != MethodId::kNone) {
+        std::fprintf(stderr, "acexstat: %s got a compressed frame\n",
+                     sub.name.c_str());
+        ++failures;
+      }
       if (f.sequence >= truth.size()) {
         std::fprintf(stderr, "acexstat: %s got unpublished sequence %llu\n",
                      sub.name.c_str(),
@@ -302,7 +317,8 @@ int run_broker_demo(const Options& opt) {
   check_eq("broker.blocks",
            reg.counter("acex.broker.blocks").value(), bs.blocks, failures);
   check_eq("broker.blocks.truth", bs.blocks, truth.size(), failures);
-  // Uniform block sizes: one shared sample per publish.
+  // Uniform block sizes: one shared sample per publish, none for the
+  // raw-only subscriber's own sample size.
   check_eq("broker.samples",
            reg.counter("acex.broker.samples").value(), bs.samples, failures);
   check_eq("broker.samples.truth", bs.samples, truth.size(), failures);
